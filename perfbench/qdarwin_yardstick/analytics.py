@@ -1,0 +1,179 @@
+"""Closed-form and asymptotic predictions: characteristic functions,
+disorder-averaged decoherence factors, and the weak-decoherence and long-time
+expressions for the information quantities.
+
+All entropies are in bits; the expansion coefficient returned by
+``weak_decoherence_slope`` carries the 1/ln(2) conversion so the expansions
+are exact derivatives of the base-2 entropies.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .model import ContinuousUniform, DiscreteUniform, PointMass
+
+_LN2 = math.log(2.0)
+
+
+def binary_entropy(p):
+    """-p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0. Accepts arrays."""
+    arr = np.asarray(p, dtype=float)
+    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        raise ValueError("probability out of [0, 1]")
+    arr = np.clip(arr, 0.0, 1.0)
+    out = np.zeros_like(arr)
+    mask = (arr > 0.0) & (arr < 1.0)
+    q = arr[mask]
+    out[mask] = -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q)
+    return float(out) if out.ndim == 0 else out
+
+
+def characteristic_function(dist, k):
+    """E[e^{ikX}] for a coupling distribution; scalar or array ``k``."""
+    k_arr = np.asarray(k, dtype=float)
+    if isinstance(dist, ContinuousUniform):
+        out = np.sinc(dist.half_width * k_arr / np.pi).astype(complex)
+    elif isinstance(dist, DiscreteUniform):
+        support = np.asarray(dist.support)
+        out = np.mean(np.exp(1j * np.multiply.outer(support, k_arr)), axis=0)
+    elif isinstance(dist, PointMass):
+        out = np.exp(1j * dist.value * k_arr)
+    else:
+        raise TypeError(f"not a coupling distribution: {dist!r}")
+    return complex(out) if out.ndim == 0 else out
+
+
+def _check_unit_interval(name, value):
+    arr = np.asarray(value, dtype=float)
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return arr
+
+
+def averaged_gamma_squared(dist, alpha_sq, t):
+    """Disorder average of the squared site decoherence factor |Gamma_i(t)|^2.
+
+    Equal to a^4 + b^4 + 2 a^2 b^2 Re f(4t) with a^2 = ``alpha_sq`` and f the
+    characteristic function of the coupling; 1 at t = 0, and for continuous
+    couplings it decays to a^4 + b^4 as t grows. Scalar or array ``t``.
+    """
+    a2 = float(alpha_sq)
+    _check_unit_interval("alpha_sq", a2)
+    b2 = 1.0 - a2
+    re = np.real(characteristic_function(dist, 4.0 * np.asarray(t, dtype=float)))
+    out = a2 * a2 + b2 * b2 + 2.0 * a2 * b2 * re
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def gamma_squared_floor(alpha_sq) -> float:
+    """Long-time value of the averaged squared decoherence factor for one site."""
+    a2 = float(alpha_sq)
+    _check_unit_interval("alpha_sq", a2)
+    return a2 * a2 + (1.0 - a2) * (1.0 - a2)
+
+
+@dataclass(frozen=True)
+class AveragedGammaCurve:
+    """Averaged squared decoherence factor sampled on a time grid."""
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if times.shape != values.shape or times.ndim != 1:
+            raise ValueError("times and values must be 1-d arrays of equal length")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+
+
+def averaged_gamma_curve(dist, alpha_sq, times) -> AveragedGammaCurve:
+    """Evaluate the averaged squared decoherence factor on a time grid."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(averaged_gamma_squared(dist, alpha_sq, times), dtype=float)
+    floor = gamma_squared_floor(alpha_sq)
+    lo = 2.0 * floor - 1.0
+    if np.any(values > 1.0 + 1e-12) or np.any(values < lo - 1e-12):
+        raise ValueError("averaged decoherence factor left its admissible band")
+    if times.size and times[0] == 0.0 and abs(values[0] - 1.0) > 1e-12:
+        raise ValueError("averaged decoherence factor must be 1 at t = 0")
+    return AveragedGammaCurve(times=times, values=values)
+
+
+def weak_decoherence_slope(alpha0_sq) -> float:
+    """Sensitivity of the system entropy (in bits) to a small squared
+    decoherence factor: S ~ S_max - slope/2 * |Gamma|^2.
+
+    Evaluates 4x(1-x) artanh(1-2x) / (1-2x) / ln 2; near x = 1/2 the removable
+    singularity is handled by the series artanh(u)/u = 1 + u^2/3 + u^4/5.
+    """
+    x = float(alpha0_sq)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"alpha0_sq must lie strictly inside (0, 1), got {x}")
+    u = 1.0 - 2.0 * x
+    if abs(u) < 2e-4:
+        ratio = 1.0 + u * u / 3.0 + u ** 4 / 5.0
+    else:
+        ratio = math.atanh(u) / u
+    return 4.0 * x * (1.0 - x) * ratio / _LN2
+
+
+def max_system_entropy(alpha0_sq) -> float:
+    """Entropy (bits) of the fully decohered system qubit."""
+    return binary_entropy(_check_unit_interval("alpha0_sq", float(alpha0_sq)))
+
+
+def weak_decoherence_mutual_info(gamma_sq, gamma_f_sq, gamma_fbar_sq, alpha0_sq) -> float:
+    """Mutual information for small decoherence factors:
+    S_max - slope/2 * (|Gamma|^2 + |Gamma_F|^2 - |Gamma_Fbar|^2)."""
+    g = float(_check_unit_interval("gamma_sq", gamma_sq))
+    gf = float(_check_unit_interval("gamma_f_sq", gamma_f_sq))
+    gfb = float(_check_unit_interval("gamma_fbar_sq", gamma_fbar_sq))
+    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * (
+        g + gf - gfb
+    )
+
+
+def weak_decoherence_holevo(gamma_f_sq, alpha0_sq) -> float:
+    """Holevo quantity for small decoherence factors: S_max - slope/2 * |Gamma_F|^2."""
+    gf = float(_check_unit_interval("gamma_f_sq", gamma_f_sq))
+    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * gf
+
+
+def _check_fragment_size(n, n_env=None):
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"fragment size must be >= 0, got {n}")
+    if n_env is not None and n > int(n_env):
+        raise ValueError(f"fragment size {n} exceeds environment size {n_env}")
+    return n
+
+
+def _check_mean_floor(mean_floor):
+    mf = float(mean_floor)
+    if not 0.0 < mf < 1.0:
+        raise ValueError(f"mean_floor must lie strictly inside (0, 1), got {mf}")
+    return mf
+
+
+def asymptotic_mutual_info(n, n_env, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
+    """Long-time, initial-state-averaged mutual information vs fragment size:
+    S_max - slope/2 * (m^N + m^n - m^(N-n)) with m = ``mean_floor``."""
+    n = _check_fragment_size(n, n_env)
+    n_env = int(n_env)
+    mf = _check_mean_floor(mean_floor)
+    bracket = mf ** n_env + mf ** n - mf ** (n_env - n)
+    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * bracket
+
+
+def asymptotic_holevo(n, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
+    """Long-time, initial-state-averaged Holevo quantity vs fragment size:
+    S_max - slope/2 * m^n."""
+    n = _check_fragment_size(n)
+    mf = _check_mean_floor(mean_floor)
+    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * mf ** n

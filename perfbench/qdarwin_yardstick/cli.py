@@ -1,0 +1,382 @@
+"""Command-line surface: model classification, sweeps, figure pipelines, and
+averaged-decoherence curves, with CSV/JSON output and an SVG heatmap renderer.
+
+Exit codes: 0 on success, 2 on usage errors (bad flags, malformed configs),
+1 on runtime failures such as I/O errors.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__
+from .analytics import averaged_gamma_curve
+from .experiments import ExperimentConfig, SweepResult, reproduce_fig2, reproduce_fig3, run_sweep
+from .model import (
+    ContinuousUniform,
+    DiscreteUniform,
+    ModelSpec,
+    PointMass,
+    classify,
+    sample_instance,
+)
+
+CSV_HEADER = (
+    "model,realizations,time,fragment_size,I_mean,I_stderr,"
+    "chi_mean,chi_stderr,discord_mean,S_mean,ratio_mean"
+)
+
+
+def _fmt(value) -> str:
+    if value is None or (isinstance(value, float) and np.isnan(value)):
+        return ""
+    return format(float(value), ".12g")
+
+
+def write_csv(result: SweepResult, path) -> None:
+    """Write the sweep table, one row per (time, fragment size), 12 significant
+    digits; Holevo/discord cells are empty when the model has no closed form."""
+    lines = [CSV_HEADER]
+    for ti in range(result.times.size):
+        for fi in range(result.fragment_sizes.size):
+            cells = [
+                result.config.model,
+                str(result.realizations),
+                _fmt(result.times[ti]),
+                str(int(result.fragment_sizes[fi])),
+                _fmt(result.i_mean[ti, fi]),
+                _fmt(result.i_stderr[ti, fi]),
+                _fmt(result.chi_mean[ti, fi]),
+                _fmt(result.chi_stderr[ti, fi]),
+                _fmt(result.discord_mean[ti, fi]),
+                _fmt(result.s_mean[ti, fi]),
+                _fmt(result.ratio_mean[ti, fi]),
+            ]
+            lines.append(",".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_sidecar(result: SweepResult, path) -> None:
+    """JSON sidecar: config echo, master seed, and code version."""
+    doc = {
+        "config": result.config.to_json_dict(),
+        "master_seed": result.config.master_seed,
+        "realizations": result.realizations,
+        "version": __version__,
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+# -- SVG heatmap -------------------------------------------------------------
+
+_COLOR_STOPS = (
+    (0.267004, 0.004874, 0.329415),
+    (0.282623, 0.140926, 0.457517),
+    (0.253935, 0.265254, 0.529983),
+    (0.206756, 0.371758, 0.553117),
+    (0.163625, 0.471133, 0.558148),
+    (0.127568, 0.566949, 0.550556),
+    (0.134692, 0.658636, 0.517649),
+    (0.266941, 0.748751, 0.440573),
+    (0.477504, 0.821444, 0.318195),
+    (0.741388, 0.873449, 0.149561),
+    (0.993248, 0.906157, 0.143936),
+)
+
+
+def _color(frac: float) -> str:
+    frac = min(max(frac, 0.0), 1.0)
+    pos = frac * (len(_COLOR_STOPS) - 1)
+    low = int(pos)
+    high = min(low + 1, len(_COLOR_STOPS) - 1)
+    w = pos - low
+    rgb = tuple(
+        round(255 * ((1 - w) * _COLOR_STOPS[low][c] + w * _COLOR_STOPS[high][c]))
+        for c in range(3)
+    )
+    return "#%02x%02x%02x" % rgb
+
+
+def _edges(centers: np.ndarray) -> np.ndarray:
+    centers = np.asarray(centers, dtype=float)
+    if centers.size == 1:
+        return np.array([centers[0] - 0.5, centers[0] + 0.5])
+    mids = 0.5 * (centers[:-1] + centers[1:])
+    first = centers[0] - (mids[0] - centers[0])
+    last = centers[-1] + (centers[-1] - mids[-1])
+    return np.concatenate([[first], mids, [last]])
+
+
+def render_heatmap_svg(result: SweepResult, quantity: str, path) -> None:
+    """Standalone SVG heatmap of a sweep: time on the horizontal axis,
+    fragment size on the vertical, linear color map with the data range
+    annotated. Output bytes are deterministic for identical input."""
+    values = result.value_grid(quantity)
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        raise ValueError(f"no finite values to render for quantity {quantity!r}")
+    vmin = float(np.min(finite))
+    vmax = float(np.max(finite))
+    span = vmax - vmin if vmax > vmin else 1.0
+
+    width, height = 640, 420
+    left, right, top, bottom = 80, 30, 36, 64
+    plot_w = width - left - right
+    plot_h = height - top - bottom
+
+    t_edges = _edges(result.times)
+    n_edges = _edges(result.fragment_sizes.astype(float))
+
+    def x_of(t):
+        return left + (t - t_edges[0]) / (t_edges[-1] - t_edges[0]) * plot_w
+
+    def y_of(n):
+        return top + plot_h - (n - n_edges[0]) / (n_edges[-1] - n_edges[0]) * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for ti in range(result.times.size):
+        for fi in range(result.fragment_sizes.size):
+            v = values[ti, fi]
+            if not np.isfinite(v):
+                fill = "#dddddd"
+            else:
+                fill = _color((float(v) - vmin) / span)
+            x0 = x_of(t_edges[ti])
+            x1 = x_of(t_edges[ti + 1])
+            y1 = y_of(n_edges[fi])
+            y0 = y_of(n_edges[fi + 1])
+            parts.append(
+                f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
+                f'height="{y1 - y0:.2f}" fill="{fill}"/>'
+            )
+    axis = (
+        f'<path d="M {left} {top} V {top + plot_h} H {left + plot_w}" '
+        'fill="none" stroke="black" stroke-width="1"/>'
+    )
+    parts.append(axis)
+
+    t_step = max(1, result.times.size // 8)
+    for ti in range(0, result.times.size, t_step):
+        t = float(result.times[ti])
+        x = x_of(t)
+        parts.append(
+            f'<line x1="{x:.2f}" y1="{top + plot_h}" x2="{x:.2f}" '
+            f'y2="{top + plot_h + 5}" stroke="black" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{x:.2f}" y="{top + plot_h + 18}" font-size="11" '
+            f'text-anchor="middle">{t:.4g}</text>'
+        )
+    n_step = max(1, result.fragment_sizes.size // 10)
+    for fi in range(0, result.fragment_sizes.size, n_step):
+        n = float(result.fragment_sizes[fi])
+        y = y_of(n)
+        parts.append(
+            f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" '
+            'stroke="black" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{left - 9}" y="{y + 4:.2f}" font-size="11" '
+            f'text-anchor="end">{n:.4g}</text>'
+        )
+    parts.append(
+        f'<text x="{left + plot_w / 2:.2f}" y="{height - 26}" font-size="13" '
+        'text-anchor="middle">time</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{top + plot_h / 2:.2f}" font-size="13" text-anchor="middle" '
+        f'transform="rotate(-90 18 {top + plot_h / 2:.2f})">fragment size</text>'
+    )
+    parts.append(
+        f'<text x="{left:.2f}" y="{top - 12}" font-size="13">{quantity}: '
+        f'min={vmin:.6g}, max={vmax:.6g} ({result.config.model}, '
+        f'{result.realizations} realizations)</text>'
+    )
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n")
+
+
+# -- argument parsing --------------------------------------------------------
+
+def _parse_dist(spec: str):
+    """Mini-grammar: uniform:<a> | discrete:v1,v2,... | const:<v>."""
+    kind, sep, rest = spec.partition(":")
+    if not sep:
+        raise ValueError(f"malformed distribution spec {spec!r}")
+    if kind == "uniform":
+        return ContinuousUniform(float(rest))
+    if kind == "discrete":
+        values = tuple(float(v) for v in rest.split(",") if v.strip() != "")
+        return DiscreteUniform(values)
+    if kind == "const":
+        return PointMass(float(rest))
+    raise ValueError(f"unknown distribution kind {kind!r} in {spec!r}")
+
+
+def _load_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def _cmd_classify(args) -> None:
+    spec = ModelSpec.from_json_dict(_load_json(args.config))
+    instance = sample_instance(spec, args.seed)
+    verdict = classify(instance, spec.continuous_support(), tol=args.tol)
+    print(
+        json.dumps(
+            {
+                "pointer_basis": verdict.pointer_basis,
+                "continuous_support": verdict.continuous_support,
+                "no_scrambling": verdict.no_scrambling,
+                "darwinism_supported": verdict.darwinism_supported,
+            },
+            separators=(",", ":"),
+        )
+    )
+
+
+def _write_outputs(result: SweepResult, args) -> None:
+    write_csv(result, args.out)
+    sidecar = args.sidecar if args.sidecar else str(args.out) + ".meta.json"
+    write_sidecar(result, sidecar)
+    if args.svg:
+        render_heatmap_svg(result, args.svg_quantity, args.svg)
+
+
+def _cmd_sweep(args) -> None:
+    config = ExperimentConfig.from_json_dict(_load_json(args.config))
+    if args.seed is not None:
+        config = dataclasses.replace(config, master_seed=args.seed)
+    result = run_sweep(config)
+    _write_outputs(result, args)
+
+
+def _cmd_fig2(args) -> None:
+    table = reproduce_fig2(n_env=args.n_env, alpha0_sq=args.alpha2)
+    lines = ["n,I_inf,chi_inf"]
+    for row in table:
+        lines.append(f"{int(row[0])},{_fmt(row[1])},{_fmt(row[2])}")
+    Path(args.out).write_text("\n".join(lines) + "\n")
+
+
+def _cmd_fig3(args) -> None:
+    overrides = {}
+    if args.half_width is not None:
+        overrides["half_width"] = args.half_width
+    if args.support is not None:
+        overrides["support"] = tuple(float(v) for v in args.support.split(","))
+    if args.scramble is not None:
+        overrides["scramble_half_width"] = args.scramble
+    result = reproduce_fig3(
+        args.model,
+        n_env=args.n_env,
+        realizations=args.realizations,
+        master_seed=args.seed,
+        overrides=overrides,
+    )
+    _write_outputs(result, args)
+
+
+def _cmd_gamma(args) -> None:
+    dist = _parse_dist(args.dist)
+    if args.steps < 1:
+        raise ValueError(f"steps must be >= 1, got {args.steps}")
+    if args.tmax < 0:
+        raise ValueError(f"tmax must be >= 0, got {args.tmax}")
+    times = np.linspace(0.0, args.tmax, args.steps)
+    curve = averaged_gamma_curve(dist, args.alpha2, times)
+    lines = ["time,avg_gamma_sq"]
+    for t, v in zip(curve.times, curve.values):
+        lines.append(f"{_fmt(t)},{_fmt(v)}")
+    text = "\n".join(lines) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qdarwin",
+        description="Exact simulation and analytics of information transfer "
+        "from a qubit to a qubit environment.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("classify", help="classify a model spec JSON file")
+    p.add_argument("--config", required=True, help="path to a model spec JSON document")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
+    p.set_defaults(func=_cmd_classify)
+
+    p = sub.add_parser("sweep", help="run a Monte Carlo sweep from a config JSON file")
+    p.add_argument("--config", required=True, help="path to an experiment config JSON document")
+    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--sidecar", help="JSON sidecar path (default: <out>.meta.json)")
+    p.add_argument("--svg", help="optional SVG heatmap path")
+    p.add_argument("--svg-quantity", default="ratio", choices=("ratio", "I", "chi"))
+    p.add_argument("--seed", type=int, default=None, help="override the config's master seed")
+    p.set_defaults(func=_cmd_sweep)
+
+    p = sub.add_parser("fig2", help="emit the asymptotic information curves")
+    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--n-env", type=int, default=50)
+    p.add_argument("--alpha2", type=float, default=0.5, help="system weight |alpha_0|^2")
+    p.set_defaults(func=_cmd_fig2)
+
+    p = sub.add_parser("fig3", help="run one of the reference-model heatmap sweeps")
+    p.add_argument("--model", required=True, help="CPDI | DPDI | CODI | CPDI-S")
+    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--sidecar", help="JSON sidecar path (default: <out>.meta.json)")
+    p.add_argument("--svg", help="optional SVG heatmap path")
+    p.add_argument("--svg-quantity", default="ratio", choices=("ratio", "I", "chi"))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--realizations", type=int, default=100)
+    p.add_argument("--n-env", type=int, default=8)
+    p.add_argument("--half-width", type=float, default=None)
+    p.add_argument("--support", default=None, help="comma-separated coupling values")
+    p.add_argument("--scramble", type=float, default=None, help="intra-environment half-width")
+    p.set_defaults(func=_cmd_fig3)
+
+    p = sub.add_parser("gamma", help="tabulate the averaged squared decoherence factor")
+    p.add_argument("--dist", required=True, help="uniform:<a> | discrete:v1,v2,... | const:<v>")
+    p.add_argument("--alpha2", type=float, required=True, help="site weight |alpha_i|^2")
+    p.add_argument("--tmax", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--out", help="CSV output path (default: stdout)")
+    p.set_defaults(func=_cmd_gamma)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        args.func(args)
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # unexpected runtime failure
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,291 @@
+"""Exact pure-state evolution: analytic branching form, diagonal fast path,
+and a dense spectral fallback.
+
+The three engines agree on their common domain. Global phase is never
+normalized away; comparisons should align phases first (see
+``align_global_phase``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .model import ModelInstance, _as_rng, hamiltonian_matrix
+
+DIAGONAL_MAX_QUBITS = 26  # memory guardrail for the phase-vector engine
+
+
+@dataclass(frozen=True)
+class PureState:
+    """Complex amplitude vector over the computational basis (qubit 0 = LSB)."""
+
+    n_qubits: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.shape != (1 << self.n_qubits,):
+            raise ValueError(
+                f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
+            )
+        norm = float(np.linalg.norm(amps))
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
+        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n_qubits
+
+
+@dataclass(frozen=True)
+class ProductCoeffs:
+    """Per-site (amplitude on |0>, amplitude on |1>) pairs of a product state."""
+
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if coeffs.ndim != 2 or coeffs.shape[1] != 2 or coeffs.shape[0] < 1:
+            raise ValueError(f"expected shape (n_sites, 2), got {coeffs.shape}")
+        norms = np.abs(coeffs[:, 0]) ** 2 + np.abs(coeffs[:, 1]) ** 2
+        if np.max(np.abs(norms - 1.0)) > 1e-12:
+            raise ValueError("every site must satisfy |a|^2 + |b|^2 = 1 within 1e-12")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def n_sites(self) -> int:
+        return self.coeffs.shape[0]
+
+
+@dataclass(frozen=True)
+class BranchingState:
+    """Singly-branching state in analytic form.
+
+    The state is ``alpha0 |0> (x) prod_i branch0_i(t) + beta0 |1> (x) prod_i
+    branch1_i(t)`` where, for a site with initial coefficients (a, b) and
+    coupling B, the branch attached to the system's |0> is
+    ``(a e^{-iBt}, b e^{+iBt})`` and the branch attached to |1> is its phase
+    conjugate. This is the solution of i d/dt psi = H psi for
+    H = sigma_z_0 (x) sum_i B_i sigma_z_i under the shared sign conventions,
+    and gives the site overlap <branch1|branch0> = |a|^2 e^{-2iBt}
+    + |b|^2 e^{+2iBt}.
+    """
+
+    alpha0: complex
+    beta0: complex
+    site_coeffs: np.ndarray
+    fields: np.ndarray
+    time: float
+
+    def __post_init__(self):
+        a0 = complex(self.alpha0)
+        b0 = complex(self.beta0)
+        if abs(abs(a0) ** 2 + abs(b0) ** 2 - 1.0) > 1e-12:
+            raise ValueError("(alpha0, beta0) must be normalized within 1e-12")
+        coeffs = np.array(self.site_coeffs, dtype=complex)
+        if coeffs.ndim != 2 or coeffs.shape[1] != 2:
+            raise ValueError(f"site_coeffs must have shape (N, 2), got {coeffs.shape}")
+        fields = np.array(self.fields, dtype=float)
+        if fields.shape != (coeffs.shape[0],):
+            raise ValueError("fields must hold one coupling per environment site")
+        if coeffs.shape[0]:
+            norms = np.abs(coeffs[:, 0]) ** 2 + np.abs(coeffs[:, 1]) ** 2
+            if np.max(np.abs(norms - 1.0)) > 1e-12:
+                raise ValueError("every site must satisfy |a|^2 + |b|^2 = 1 within 1e-12")
+        t = float(self.time)
+        if not np.isfinite(t) or t < 0:
+            raise ValueError(f"time must be finite and >= 0, got {t}")
+        object.__setattr__(self, "alpha0", a0)
+        object.__setattr__(self, "beta0", b0)
+        object.__setattr__(self, "site_coeffs", coeffs)
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "time", t)
+
+    @property
+    def n_env(self) -> int:
+        return self.site_coeffs.shape[0]
+
+    def site_overlap(self, site: int) -> complex:
+        """Overlap of the two branch states at one environment site (1-based)."""
+        if not 1 <= site <= self.n_env:
+            raise ValueError(f"site {site} out of range 1..{self.n_env}")
+        a, b = self.site_coeffs[site - 1]
+        phase = np.exp(-2j * self.fields[site - 1] * self.time)
+        return complex(abs(a) ** 2 * phase + abs(b) ** 2 * np.conj(phase))
+
+    def overlap(self, sites: Sequence[int] | None = None) -> complex:
+        """Product of site overlaps over ``sites`` (default: full environment)."""
+        if sites is None:
+            sites = range(1, self.n_env + 1)
+        out = 1.0 + 0.0j
+        for s in sites:
+            out *= self.site_overlap(int(s))
+        return complex(out)
+
+    def branch_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-site branch kets attached to system |0> and |1>, shape (N, 2) each."""
+        phase = np.exp(-1j * self.fields * self.time)
+        branch0 = np.empty_like(self.site_coeffs)
+        branch0[:, 0] = self.site_coeffs[:, 0] * phase
+        branch0[:, 1] = self.site_coeffs[:, 1] * np.conj(phase)
+        branch1 = np.empty_like(branch0)
+        branch1[:, 0] = self.site_coeffs[:, 0] * np.conj(phase)
+        branch1[:, 1] = self.site_coeffs[:, 1] * phase
+        return branch0, branch1
+
+
+def random_product_state(n_qubits: int, seed) -> ProductCoeffs:
+    """Draw a product state site by site: |a|^2 uniform on [0, 1], the phases
+    of both amplitudes independent uniform on [0, 2*pi). Deterministic in
+    ``seed``; per-site draw order is (weight, phase of a, phase of b)."""
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    rng = _as_rng(seed)
+    coeffs = np.empty((n_qubits, 2), dtype=complex)
+    for k in range(n_qubits):
+        u = rng.random()
+        phase_a = rng.uniform(0.0, 2.0 * np.pi)
+        phase_b = rng.uniform(0.0, 2.0 * np.pi)
+        coeffs[k, 0] = np.sqrt(u) * np.exp(1j * phase_a)
+        coeffs[k, 1] = np.sqrt(1.0 - u) * np.exp(1j * phase_b)
+    return ProductCoeffs(coeffs)
+
+
+def evolve_branching(init: ProductCoeffs, fields, t: float) -> BranchingState:
+    """Evolve a separable state under pure system-environment dephasing.
+
+    ``init`` holds the system site first, then one pair per environment site;
+    ``fields`` holds the coupling of each environment site to the system.
+    """
+    fields = np.asarray(fields, dtype=float)
+    if init.n_sites != fields.shape[0] + 1:
+        raise ValueError(
+            f"init has {init.n_sites} sites but fields has {fields.shape[0]} entries"
+        )
+    return BranchingState(
+        alpha0=init.coeffs[0, 0],
+        beta0=init.coeffs[0, 1],
+        site_coeffs=init.coeffs[1:],
+        fields=fields,
+        time=t,
+    )
+
+
+def _kron_sites(vectors: np.ndarray) -> np.ndarray:
+    """Kronecker product of per-site kets with site 1 on the least significant bit."""
+    out = np.ones(1, dtype=complex)
+    for v in vectors[::-1]:
+        out = np.kron(out, v)
+    return out
+
+
+def branching_to_dense(bs: BranchingState) -> PureState:
+    """Expand the analytic branching form into a full amplitude vector."""
+    branch0, branch1 = bs.branch_vectors()
+    k0 = _kron_sites(branch0)
+    k1 = _kron_sites(branch1)
+    amps = np.empty(2 * k0.shape[0], dtype=complex)
+    amps[0::2] = bs.alpha0 * k0
+    amps[1::2] = bs.beta0 * k1
+    return PureState(bs.n_env + 1, amps)
+
+
+def dense_product_state(coeffs: ProductCoeffs) -> PureState:
+    """Amplitude vector of a product state (site k on bit k)."""
+    return PureState(coeffs.n_sites, _kron_sites(coeffs.coeffs))
+
+
+def align_global_phase(state: PureState, reference: PureState) -> PureState:
+    """Rotate the global phase of ``state`` so that it matches ``reference``
+    on the reference's largest-magnitude amplitude."""
+    if state.n_qubits != reference.n_qubits:
+        raise ValueError("states must live on the same register")
+    k = int(np.argmax(np.abs(reference.amplitudes)))
+    a = state.amplitudes[k]
+    if abs(a) == 0.0:
+        return state
+    factor = reference.amplitudes[k] / a
+    factor /= abs(factor)
+    return PureState(state.n_qubits, state.amplitudes * factor)
+
+
+class DensePropagator:
+    """exp(-iHt) through one Hermitian eigendecomposition, reusable for many t.
+
+    Exact for the time-independent Hamiltonians built here; unitarity holds to
+    the accuracy of the factorization.
+    """
+
+    def __init__(self, instance: ModelInstance):
+        self.n_qubits = instance.n_qubits
+        h = hamiltonian_matrix(instance)
+        energies, modes = np.linalg.eigh(h)
+        self._energies = energies
+        self._modes = modes
+
+    def evolve(self, state: PureState, t: float) -> PureState:
+        if state.n_qubits != self.n_qubits:
+            raise ValueError("state size does not match the propagator")
+        coeffs = self._modes.conj().T @ state.amplitudes
+        coeffs *= np.exp(-1j * self._energies * float(t))
+        return PureState(self.n_qubits, self._modes @ coeffs)
+
+
+def evolve_dense(instance: ModelInstance, psi0: PureState, t: float) -> PureState:
+    """One-shot dense evolution; build a DensePropagator to reuse the factorization."""
+    return DensePropagator(instance).evolve(psi0, t)
+
+
+class DiagonalPropagator:
+    """Phase evolution for instances whose Hamiltonian is diagonal (z-only).
+
+    The energy of basis state ``b`` is assembled from bit parities, so no
+    matrix is ever materialized; the register may hold up to 26 qubits.
+    """
+
+    def __init__(self, instance: ModelInstance):
+        if not instance.is_z_only():
+            raise ValueError("non-diagonal instance: couplings or fields off the z axis")
+        n_qubits = instance.n_qubits
+        if n_qubits > DIAGONAL_MAX_QUBITS:
+            raise ValueError(
+                f"{n_qubits} qubits exceeds the diagonal-engine cap of {DIAGONAL_MAX_QUBITS}"
+            )
+        self.n_qubits = n_qubits
+        dim = 1 << n_qubits
+        idx = np.arange(dim, dtype=np.int32)  # dim < 2^31 under the cap
+
+        def sign(k):
+            return 1 - 2 * ((idx >> k) & 1)
+
+        energies = np.zeros(dim)
+        for i in range(n_qubits):
+            row = instance.j_tensor[i, :, 2, 2]
+            if not row.any():
+                continue
+            s_i = sign(i)
+            for j in range(i + 1, n_qubits):
+                coeff = row[j]
+                if coeff != 0.0:
+                    energies += coeff * (s_i * sign(j))
+        for site in range(n_qubits):
+            coeff = instance.fields[site, 2]
+            if coeff != 0.0:
+                energies += coeff * sign(site)
+        self._energies = energies
+
+    def evolve(self, state: PureState, t: float) -> PureState:
+        if state.n_qubits != self.n_qubits:
+            raise ValueError("state size does not match the propagator")
+        return PureState(
+            self.n_qubits, state.amplitudes * np.exp(-1j * float(t) * self._energies)
+        )
+
+
+def evolve_diagonal(instance: ModelInstance, psi0: PureState, t: float) -> PureState:
+    """One-shot diagonal evolution; build a DiagonalPropagator to reuse the phases."""
+    return DiagonalPropagator(instance).evolve(psi0, t)

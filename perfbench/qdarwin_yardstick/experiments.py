@@ -1,0 +1,443 @@
+"""Seeded Monte Carlo sweeps over coupling realizations and initial states,
+averaged on a (time x fragment-size) grid, plus the two figure pipelines.
+
+Each realization r is reproducible in isolation: its generator is seeded with
+``mix_seed(master_seed, r)`` and draws, in order, the model instance, the
+initial product state, and (for the random-subset policy) the fragments.
+Results are merged by realization index, so they do not depend on how many
+worker threads execute the sweep (cap with QDARWIN_THREADS; 0 = one per CPU).
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from typing import Mapping
+
+import numpy as np
+
+from .analytics import asymptotic_holevo, asymptotic_mutual_info, binary_entropy
+from .dynamics import (
+    DensePropagator,
+    DiagonalPropagator,
+    dense_product_state,
+    random_product_state,
+)
+from .information import subsystem_entropy
+from .model import ModelSpec, build_model, canonical_kind, sample_instance
+
+_MASK64 = (1 << 64) - 1
+
+FRAGMENT_POLICIES = ("prefix", "random")
+NORMALIZATIONS = ("smax", "none")
+ENGINES = ("auto", "dense", "diagonal", "branching")
+_OVERRIDE_KEYS = ("half_width", "support", "scramble_half_width")
+
+
+def mix_seed(master_seed: int, index: int) -> int:
+    """Derive the per-realization seed: splitmix64 finalizer applied to
+    ``master_seed + (index + 1) * 0x9E3779B97F4A7C15`` (all mod 2^64)."""
+    x = (int(master_seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything needed to rerun a sweep bit for bit."""
+
+    model: str
+    n_env: int
+    time_grid: tuple
+    fragment_sizes: tuple
+    realizations: int
+    master_seed: int = 0
+    overrides: Mapping = field(default_factory=dict)
+    fragment_policy: str = "prefix"
+    subsets_per_realization: int = 1
+    normalize: str = "smax"
+    engine: str = "auto"
+    keep_realizations: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "model", canonical_kind(self.model))
+        if self.n_env < 1:
+            raise ValueError(f"n_env must be >= 1, got {self.n_env}")
+        times = tuple(float(t) for t in self.time_grid)
+        if not times:
+            raise ValueError("time_grid must be nonempty")
+        if any(not np.isfinite(t) or t < 0 for t in times):
+            raise ValueError("time_grid entries must be finite and >= 0")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("time_grid must be strictly increasing")
+        sizes = tuple(int(n) for n in self.fragment_sizes)
+        if not sizes:
+            raise ValueError("fragment_sizes must be nonempty")
+        if any(n < 0 or n > self.n_env for n in sizes):
+            raise ValueError(f"fragment sizes must lie in 0..{self.n_env}, got {sizes}")
+        if any(b <= a for a, b in zip(sizes, sizes[1:])):
+            raise ValueError("fragment_sizes must be strictly increasing")
+        if self.realizations < 1:
+            raise ValueError(f"realizations must be >= 1, got {self.realizations}")
+        if self.subsets_per_realization < 1:
+            raise ValueError("subsets_per_realization must be >= 1")
+        if self.fragment_policy not in FRAGMENT_POLICIES:
+            raise ValueError(f"fragment_policy must be one of {FRAGMENT_POLICIES}")
+        if self.normalize not in NORMALIZATIONS:
+            raise ValueError(f"normalize must be one of {NORMALIZATIONS}")
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}")
+        overrides = dict(self.overrides)
+        unknown = set(overrides) - set(_OVERRIDE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown override keys {sorted(unknown)}; allowed: {_OVERRIDE_KEYS}")
+        object.__setattr__(self, "time_grid", times)
+        object.__setattr__(self, "fragment_sizes", sizes)
+        object.__setattr__(self, "overrides", overrides)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "model": self.model,
+            "n_env": self.n_env,
+            "time_grid": list(self.time_grid),
+            "fragment_sizes": list(self.fragment_sizes),
+            "realizations": self.realizations,
+            "master_seed": self.master_seed,
+            "overrides": {
+                k: (list(v) if isinstance(v, (list, tuple)) else v)
+                for k, v in self.overrides.items()
+            },
+            "fragment_policy": self.fragment_policy,
+            "subsets_per_realization": self.subsets_per_realization,
+            "normalize": self.normalize,
+            "engine": self.engine,
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
+        return cls(
+            model=doc["model"],
+            n_env=int(doc["n_env"]),
+            time_grid=tuple(doc["time_grid"]),
+            fragment_sizes=tuple(doc["fragment_sizes"]),
+            realizations=int(doc["realizations"]),
+            master_seed=int(doc.get("master_seed", 0)),
+            overrides=doc.get("overrides", {}),
+            fragment_policy=doc.get("fragment_policy", "prefix"),
+            subsets_per_realization=int(doc.get("subsets_per_realization", 1)),
+            normalize=doc.get("normalize", "smax"),
+            engine=doc.get("engine", "auto"),
+        )
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Realization-averaged information quantities on the (time, size) grid.
+
+    Mean/stderr arrays have shape (T, F). The Holevo and discord tables are
+    NaN when the model does not keep an initially separable state in
+    branching form (no closed form is available there). When the sweep was
+    run with ``keep_realizations``, the per-realization values are retained
+    with a leading realization axis.
+    """
+
+    config: ExperimentConfig
+    times: np.ndarray
+    fragment_sizes: np.ndarray
+    realizations: int
+    has_holevo: bool
+    i_mean: np.ndarray
+    i_stderr: np.ndarray
+    chi_mean: np.ndarray
+    chi_stderr: np.ndarray
+    discord_mean: np.ndarray
+    discord_stderr: np.ndarray
+    s_mean: np.ndarray
+    s_stderr: np.ndarray
+    ratio_mean: np.ndarray
+    ratio_stderr: np.ndarray
+    i_values: np.ndarray | None = None
+    chi_values: np.ndarray | None = None
+    discord_values: np.ndarray | None = None
+    ratio_values: np.ndarray | None = None
+    s_values: np.ndarray | None = None
+    smax_values: np.ndarray | None = None
+
+    def value_grid(self, quantity: str) -> np.ndarray:
+        grids = {"ratio": self.ratio_mean, "I": self.i_mean, "chi": self.chi_mean}
+        if quantity not in grids:
+            raise ValueError(f"quantity must be one of {sorted(grids)}, got {quantity!r}")
+        return grids[quantity]
+
+
+def _worker_count() -> int:
+    raw = os.environ.get("QDARWIN_THREADS", "").strip()
+    if not raw:
+        return 1
+    count = int(raw)
+    if count < 0:
+        raise ValueError(f"QDARWIN_THREADS must be >= 0, got {count}")
+    if count == 0:
+        return os.cpu_count() or 1
+    return count
+
+
+def _resolve_engine(spec: ModelSpec, engine: str) -> str:
+    if engine == "auto":
+        if spec.is_branching_form():
+            return "branching"
+        if spec.is_z_only():
+            return "diagonal"
+        return "dense"
+    if engine == "branching" and not spec.is_branching_form():
+        raise ValueError(f"model {spec.label} does not stay in branching form")
+    if engine == "diagonal" and not spec.is_z_only():
+        raise ValueError(f"model {spec.label} is not diagonal (z-only)")
+    return engine
+
+
+def _draw_fragments(rng, config: ExperimentConfig, n_env: int) -> list:
+    """One list of site tuples per fragment size, drawn in grid order."""
+    fragments = []
+    for n in config.fragment_sizes:
+        if config.fragment_policy == "prefix":
+            fragments.append([tuple(range(1, n + 1))])
+        else:
+            subsets = []
+            for _ in range(config.subsets_per_realization):
+                picked = rng.permutation(np.arange(1, n_env + 1))[:n]
+                subsets.append(tuple(sorted(int(s) for s in picked)))
+            fragments.append(subsets)
+    return fragments
+
+
+def _branch_entropy_sq(weight: float, gamma_sq: np.ndarray) -> np.ndarray:
+    radicand = np.clip(1.0 - 4.0 * weight * (1.0 - gamma_sq), 0.0, 1.0)
+    return binary_entropy(0.5 * (1.0 + np.sqrt(radicand)))
+
+
+def _closed_form_tables(init, fields, times, fragments, n_env):
+    """Exact I, Holevo, S_S for a branching evolution, vectorized over times.
+
+    Uses the rank-<=2 structure of every reduction of a branching state: the
+    entropy of the system, fragment, and system+fragment blocks depends only
+    on the squared branch overlaps of the environment, the fragment, and the
+    fragment's complement (the last via purity of the global state).
+    """
+    alpha0, beta0 = init.coeffs[0]
+    site_coeffs = init.coeffs[1:]
+    a2 = np.abs(site_coeffs[:, 0]) ** 2
+    b2 = np.abs(site_coeffs[:, 1]) ** 2
+    phases = np.exp(-2j * np.outer(times, fields))
+    gam = a2[None, :] * phases + b2[None, :] * np.conj(phases)  # (T, N)
+
+    weight = abs(alpha0) ** 2 * abs(beta0) ** 2
+    g_env = np.prod(gam, axis=1)
+    g_env_sq = np.abs(g_env) ** 2
+    s_sys = _branch_entropy_sq(weight, g_env_sq)
+
+    n_t = times.shape[0]
+    n_f = len(fragments)
+    i_vals = np.empty((n_t, n_f))
+    chi_vals = np.empty((n_t, n_f))
+    for fi, subsets in enumerate(fragments):
+        i_acc = np.zeros(n_t)
+        chi_acc = np.zeros(n_t)
+        for subset in subsets:
+            idx = [s - 1 for s in subset]
+            comp = [k for k in range(n_env) if k + 1 not in subset]
+            g_frag_sq = np.abs(np.prod(gam[:, idx], axis=1)) ** 2
+            g_fbar_sq = np.abs(np.prod(gam[:, comp], axis=1)) ** 2
+            s_frag = _branch_entropy_sq(weight, g_frag_sq)
+            s_joint = _branch_entropy_sq(weight, g_fbar_sq)
+            i_acc += s_sys + s_frag - s_joint
+            radicand = np.clip(1.0 - 4.0 * weight * (g_frag_sq - g_env_sq), 0.0, 1.0)
+            chi_acc += s_sys - binary_entropy(0.5 * (1.0 + np.sqrt(radicand)))
+        i_vals[:, fi] = i_acc / len(subsets)
+        chi_vals[:, fi] = chi_acc / len(subsets)
+    return i_vals, chi_vals, s_sys
+
+
+def _state_tables(propagator, init, times, fragments):
+    """I and S_S from explicit states and partial-trace entropies."""
+    psi0 = dense_product_state(init)
+    n_t = times.shape[0]
+    n_f = len(fragments)
+    i_vals = np.empty((n_t, n_f))
+    s_sys = np.empty(n_t)
+    for ti, t in enumerate(times):
+        psi = propagator.evolve(psi0, t)
+        s_s = subsystem_entropy(psi, [0])
+        s_sys[ti] = s_s
+        for fi, subsets in enumerate(fragments):
+            acc = 0.0
+            for subset in subsets:
+                s_f = subsystem_entropy(psi, list(subset))
+                s_sf = subsystem_entropy(psi, [0, *subset])
+                acc += s_s + s_f - s_sf
+            i_vals[ti, fi] = acc / len(subsets)
+    return i_vals, s_sys
+
+
+def _run_realization(spec: ModelSpec, config: ExperimentConfig, engine: str, r: int):
+    rng = np.random.default_rng(mix_seed(config.master_seed, r))
+    instance = sample_instance(spec, rng)
+    init = random_product_state(spec.n_env + 1, rng)
+    fragments = _draw_fragments(rng, config, spec.n_env)
+    times = np.asarray(config.time_grid)
+    branching_model = spec.is_branching_form()
+
+    chi_vals = None
+    if engine == "branching":
+        fields = instance.j_tensor[0, 1:, 2, 2]
+        i_vals, chi_vals, s_sys = _closed_form_tables(
+            init, fields, times, fragments, spec.n_env
+        )
+    else:
+        propagator = (
+            DiagonalPropagator(instance) if engine == "diagonal" else DensePropagator(instance)
+        )
+        i_vals, s_sys = _state_tables(propagator, init, times, fragments)
+        if branching_model:
+            fields = instance.j_tensor[0, 1:, 2, 2]
+            _, chi_vals, _ = _closed_form_tables(init, fields, times, fragments, spec.n_env)
+
+    smax = binary_entropy(abs(init.coeffs[0, 0]) ** 2)
+    if config.normalize == "smax":
+        ratio_vals = i_vals / smax if smax > 1e-12 else np.zeros_like(i_vals)
+    else:
+        ratio_vals = i_vals
+    return i_vals, chi_vals, s_sys, smax, ratio_vals
+
+
+def _mean_stderr(values: np.ndarray):
+    mean = np.mean(values, axis=0)
+    if values.shape[0] < 2:
+        return mean, np.zeros_like(mean)
+    stderr = np.std(values, axis=0, ddof=1) / np.sqrt(values.shape[0])
+    return mean, stderr
+
+
+def run_sweep(config: ExperimentConfig) -> SweepResult:
+    """Run the configured sweep; deterministic in the config alone."""
+    spec = build_model(config.model, config.n_env, **config.overrides)
+    engine = _resolve_engine(spec, config.engine)
+    times = np.asarray(config.time_grid)
+    sizes = np.asarray(config.fragment_sizes, dtype=int)
+    r_count = config.realizations
+    has_holevo = spec.is_branching_form()
+
+    i_all = np.empty((r_count, times.size, sizes.size))
+    chi_all = np.full((r_count, times.size, sizes.size), np.nan) if has_holevo else None
+    s_all = np.empty((r_count, times.size))
+    smax_all = np.empty(r_count)
+    ratio_all = np.empty_like(i_all)
+
+    def compute(r):
+        return _run_realization(spec, config, engine, r)
+
+    workers = _worker_count()
+    if workers == 1:
+        outputs = [compute(r) for r in range(r_count)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(compute, range(r_count)))
+    for r, (i_vals, chi_vals, s_sys, smax, ratio_vals) in enumerate(outputs):
+        i_all[r] = i_vals
+        if chi_all is not None:
+            chi_all[r] = chi_vals
+        s_all[r] = s_sys
+        smax_all[r] = smax
+        ratio_all[r] = ratio_vals
+
+    i_mean, i_stderr = _mean_stderr(i_all)
+    s_mean_t, s_stderr_t = _mean_stderr(s_all)
+    ratio_mean, ratio_stderr = _mean_stderr(ratio_all)
+    ones = np.ones((1, sizes.size))
+    if has_holevo:
+        d_all = i_all - chi_all
+        chi_mean, chi_stderr = _mean_stderr(chi_all)
+        d_mean, d_stderr = _mean_stderr(d_all)
+    else:
+        d_all = None
+        nan_grid = np.full((times.size, sizes.size), np.nan)
+        chi_mean = chi_stderr = d_mean = d_stderr = nan_grid
+
+    return SweepResult(
+        config=config,
+        times=times,
+        fragment_sizes=sizes,
+        realizations=r_count,
+        has_holevo=has_holevo,
+        i_mean=i_mean,
+        i_stderr=i_stderr,
+        chi_mean=chi_mean,
+        chi_stderr=chi_stderr,
+        discord_mean=d_mean,
+        discord_stderr=d_stderr,
+        s_mean=s_mean_t[:, None] * ones,
+        s_stderr=s_stderr_t[:, None] * ones,
+        ratio_mean=ratio_mean,
+        ratio_stderr=ratio_stderr,
+        i_values=i_all if config.keep_realizations else None,
+        chi_values=chi_all if config.keep_realizations else None,
+        discord_values=d_all if config.keep_realizations else None,
+        ratio_values=ratio_all if config.keep_realizations else None,
+        s_values=s_all if config.keep_realizations else None,
+        smax_values=smax_all if config.keep_realizations else None,
+    )
+
+
+def reproduce_fig2(n_env: int = 50, alpha0_sq: float = 0.5) -> np.ndarray:
+    """Asymptotic mutual information and Holevo quantity vs fragment size.
+
+    Returns an array with one row per fragment size n = 0..n_env and columns
+    (n, I_inf, chi_inf); the classical plateau sits at the maximal system
+    entropy (1 bit for a balanced system qubit).
+    """
+    ns = np.arange(n_env + 1)
+    i_inf = np.array([asymptotic_mutual_info(n, n_env, alpha0_sq) for n in ns])
+    chi_inf = np.array([asymptotic_holevo(n, alpha0_sq) for n in ns])
+    return np.column_stack([ns.astype(float), i_inf, chi_inf])
+
+
+def _fig3_time_grid(kind: str) -> tuple:
+    base = np.round(np.arange(0.0, 5.0 + 1e-9, 0.1), 10)
+    if kind == "DPDI":
+        # include t = pi so the exact recurrence of the discrete couplings is visible
+        return tuple(np.sort(np.append(base, np.pi)))
+    if kind == "CPDI_S":
+        late = np.round(np.arange(6.0, 50.0 + 1e-9, 2.0), 10)
+        return tuple(np.concatenate([base, late]))
+    return tuple(base)
+
+
+def reproduce_fig3(
+    kind: str,
+    n_env: int = 8,
+    realizations: int = 100,
+    master_seed: int = 0,
+    engine: str = "auto",
+    keep_realizations: bool = False,
+    overrides: Mapping | None = None,
+) -> SweepResult:
+    """Realization-averaged I(S:F)/S_max over time and fragment size for one
+    of the four reference models (defaults: N = 8, 100 realizations)."""
+    kind = canonical_kind(kind)
+    config = ExperimentConfig(
+        model=kind,
+        n_env=n_env,
+        time_grid=_fig3_time_grid(kind),
+        fragment_sizes=tuple(range(n_env + 1)),
+        realizations=realizations,
+        master_seed=master_seed,
+        overrides=dict(overrides or {}),
+        normalize="smax",
+        engine=engine,
+        keep_realizations=keep_realizations,
+    )
+    return run_sweep(config)
