@@ -111,20 +111,17 @@ class BranchingState:
 
     def site_overlap(self, site: int) -> complex:
         """Overlap of the two branch states at one environment site (1-based)."""
-        if not 1 <= site <= self.n_env:
-            raise ValueError(f"site {site} out of range 1..{self.n_env}")
-        a, b = self.site_coeffs[site - 1]
-        phase = np.exp(-2j * self.fields[site - 1] * self.time)
-        return complex(abs(a) ** 2 * phase + abs(b) ** 2 * np.conj(phase))
+        return self.overlap([site])
 
     def overlap(self, sites: Sequence[int] | None = None) -> complex:
         """Product of site overlaps over ``sites`` (default: full environment)."""
         if sites is None:
             sites = range(1, self.n_env + 1)
-        out = 1.0 + 0.0j
-        for s in sites:
-            out *= self.site_overlap(int(s))
-        return complex(out)
+        idx = np.array([int(s) for s in sites], dtype=int) - 1
+        if np.any((idx < 0) | (idx >= self.n_env)):
+            raise ValueError(f"sites {(idx + 1).tolist()} out of range 1..{self.n_env}")
+        gam = _site_overlaps(self.site_coeffs[idx], self.fields[idx], np.array([self.time]))
+        return complex(np.prod(gam[0]))
 
     def branch_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-site branch kets attached to system |0> and |1>, shape (N, 2) each."""
@@ -136,6 +133,15 @@ class BranchingState:
         branch1[:, 0] = self.site_coeffs[:, 0] * np.conj(phase)
         branch1[:, 1] = self.site_coeffs[:, 1] * phase
         return branch0, branch1
+
+
+def _site_overlaps(site_coeffs: np.ndarray, fields: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Branch overlaps |a|^2 e^{-2iBt} + |b|^2 e^{+2iBt} of every site at every
+    time, shape (T, N), for per-site coefficients (a, b) and couplings B."""
+    a2 = np.abs(site_coeffs[:, 0]) ** 2
+    b2 = np.abs(site_coeffs[:, 1]) ** 2
+    phases = np.exp(-2j * np.outer(times, fields))
+    return a2[None, :] * phases + b2[None, :] * np.conj(phases)
 
 
 def random_product_state(n_qubits: int, seed) -> ProductCoeffs:
@@ -230,7 +236,7 @@ class DensePropagator:
     def evolve(self, state: PureState, t: float) -> PureState:
         if state.n_qubits != self.n_qubits:
             raise ValueError("state size does not match the propagator")
-        coeffs = self._modes.conj().T @ state.amplitudes
+        coeffs = (state.amplitudes.conj() @ self._modes).conj()
         coeffs *= np.exp(-1j * self._energies * float(t))
         return PureState(self.n_qubits, self._modes @ coeffs)
 

@@ -4,14 +4,12 @@ averaged on a (time x fragment-size) grid, plus the two figure pipelines.
 Each realization r is reproducible in isolation: its generator is seeded with
 ``mix_seed(master_seed, r)`` and draws, in order, the model instance, the
 initial product state, and (for the random-subset policy) the fragments.
-Results are merged by realization index, so they do not depend on how many
-worker threads execute the sweep (cap with QDARWIN_THREADS; 0 = one per CPU).
+Realizations run one after another in index order, so a sweep is
+deterministic in its config alone.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -24,8 +22,14 @@ from .dynamics import (
     dense_product_state,
     random_product_state,
 )
-from .information import subsystem_entropy
-from .model import ModelSpec, build_model, canonical_kind, sample_instance
+from .information import _closed_form_tables, subsystem_entropy
+from .model import (
+    ModelSpec,
+    _reject_unknown_keys,
+    build_model,
+    canonical_kind,
+    sample_instance,
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -33,6 +37,10 @@ FRAGMENT_POLICIES = ("prefix", "random")
 NORMALIZATIONS = ("smax", "none")
 ENGINES = ("auto", "dense", "diagonal", "branching")
 _OVERRIDE_KEYS = ("half_width", "support", "scramble_half_width")
+_CONFIG_KEYS = (
+    "model", "n_env", "time_grid", "fragment_sizes", "realizations", "master_seed",
+    "overrides", "fragment_policy", "subsets_per_realization", "normalize", "engine",
+)
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -119,19 +127,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            model=doc["model"],
-            n_env=int(doc["n_env"]),
-            time_grid=tuple(doc["time_grid"]),
-            fragment_sizes=tuple(doc["fragment_sizes"]),
-            realizations=int(doc["realizations"]),
-            master_seed=int(doc.get("master_seed", 0)),
-            overrides=doc.get("overrides", {}),
-            fragment_policy=doc.get("fragment_policy", "prefix"),
-            subsets_per_realization=int(doc.get("subsets_per_realization", 1)),
-            normalize=doc.get("normalize", "smax"),
-            engine=doc.get("engine", "auto"),
-        )
+        _reject_unknown_keys(doc, _CONFIG_KEYS, "experiment config")
+        ints = ("n_env", "realizations", "master_seed", "subsets_per_realization")
+        return cls(**{k: int(v) if k in ints else v for k, v in doc.items()})
 
 
 @dataclass(frozen=True)
@@ -174,18 +172,6 @@ class SweepResult:
         return grids[quantity]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QDARWIN_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 0:
-        raise ValueError(f"QDARWIN_THREADS must be >= 0, got {count}")
-    if count == 0:
-        return os.cpu_count() or 1
-    return count
-
-
 def _resolve_engine(spec: ModelSpec, engine: str) -> str:
     if engine == "auto":
         if spec.is_branching_form():
@@ -215,53 +201,6 @@ def _draw_fragments(rng, config: ExperimentConfig, n_env: int) -> list:
     return fragments
 
 
-def _branch_entropy_sq(weight: float, gamma_sq: np.ndarray) -> np.ndarray:
-    radicand = np.clip(1.0 - 4.0 * weight * (1.0 - gamma_sq), 0.0, 1.0)
-    return binary_entropy(0.5 * (1.0 + np.sqrt(radicand)))
-
-
-def _closed_form_tables(init, fields, times, fragments, n_env):
-    """Exact I, Holevo, S_S for a branching evolution, vectorized over times.
-
-    Uses the rank-<=2 structure of every reduction of a branching state: the
-    entropy of the system, fragment, and system+fragment blocks depends only
-    on the squared branch overlaps of the environment, the fragment, and the
-    fragment's complement (the last via purity of the global state).
-    """
-    alpha0, beta0 = init.coeffs[0]
-    site_coeffs = init.coeffs[1:]
-    a2 = np.abs(site_coeffs[:, 0]) ** 2
-    b2 = np.abs(site_coeffs[:, 1]) ** 2
-    phases = np.exp(-2j * np.outer(times, fields))
-    gam = a2[None, :] * phases + b2[None, :] * np.conj(phases)  # (T, N)
-
-    weight = abs(alpha0) ** 2 * abs(beta0) ** 2
-    g_env = np.prod(gam, axis=1)
-    g_env_sq = np.abs(g_env) ** 2
-    s_sys = _branch_entropy_sq(weight, g_env_sq)
-
-    n_t = times.shape[0]
-    n_f = len(fragments)
-    i_vals = np.empty((n_t, n_f))
-    chi_vals = np.empty((n_t, n_f))
-    for fi, subsets in enumerate(fragments):
-        i_acc = np.zeros(n_t)
-        chi_acc = np.zeros(n_t)
-        for subset in subsets:
-            idx = [s - 1 for s in subset]
-            comp = [k for k in range(n_env) if k + 1 not in subset]
-            g_frag_sq = np.abs(np.prod(gam[:, idx], axis=1)) ** 2
-            g_fbar_sq = np.abs(np.prod(gam[:, comp], axis=1)) ** 2
-            s_frag = _branch_entropy_sq(weight, g_frag_sq)
-            s_joint = _branch_entropy_sq(weight, g_fbar_sq)
-            i_acc += s_sys + s_frag - s_joint
-            radicand = np.clip(1.0 - 4.0 * weight * (g_frag_sq - g_env_sq), 0.0, 1.0)
-            chi_acc += s_sys - binary_entropy(0.5 * (1.0 + np.sqrt(radicand)))
-        i_vals[:, fi] = i_acc / len(subsets)
-        chi_vals[:, fi] = chi_acc / len(subsets)
-    return i_vals, chi_vals, s_sys
-
-
 def _state_tables(propagator, init, times, fragments):
     """I and S_S from explicit states and partial-trace entropies."""
     psi0 = dense_product_state(init)
@@ -289,22 +228,20 @@ def _run_realization(spec: ModelSpec, config: ExperimentConfig, engine: str, r: 
     init = random_product_state(spec.n_env + 1, rng)
     fragments = _draw_fragments(rng, config, spec.n_env)
     times = np.asarray(config.time_grid)
-    branching_model = spec.is_branching_form()
 
     chi_vals = None
-    if engine == "branching":
+    if spec.is_branching_form():
+        (alpha0, beta0), site_coeffs = init.coeffs[0], init.coeffs[1:]
         fields = instance.j_tensor[0, 1:, 2, 2]
         i_vals, chi_vals, s_sys = _closed_form_tables(
-            init, fields, times, fragments, spec.n_env
+            alpha0, beta0, site_coeffs, fields, times, fragments
         )
-    else:
+    if engine != "branching":
+        # the state engines take I and S_S from explicit states; Holevo stays closed-form
         propagator = (
             DiagonalPropagator(instance) if engine == "diagonal" else DensePropagator(instance)
         )
         i_vals, s_sys = _state_tables(propagator, init, times, fragments)
-        if branching_model:
-            fields = instance.j_tensor[0, 1:, 2, 2]
-            _, chi_vals, _ = _closed_form_tables(init, fields, times, fragments, spec.n_env)
 
     smax = binary_entropy(abs(init.coeffs[0, 0]) ** 2)
     if config.normalize == "smax":
@@ -337,22 +274,12 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     smax_all = np.empty(r_count)
     ratio_all = np.empty_like(i_all)
 
-    def compute(r):
-        return _run_realization(spec, config, engine, r)
-
-    workers = _worker_count()
-    if workers == 1:
-        outputs = [compute(r) for r in range(r_count)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(compute, range(r_count)))
-    for r, (i_vals, chi_vals, s_sys, smax, ratio_vals) in enumerate(outputs):
-        i_all[r] = i_vals
+    for r in range(r_count):
+        i_all[r], chi_vals, s_all[r], smax_all[r], ratio_all[r] = _run_realization(
+            spec, config, engine, r
+        )
         if chi_all is not None:
             chi_all[r] = chi_vals
-        s_all[r] = s_sys
-        smax_all[r] = smax
-        ratio_all[r] = ratio_vals
 
     i_mean, i_stderr = _mean_stderr(i_all)
     s_mean_t, s_stderr_t = _mean_stderr(s_all)

@@ -12,7 +12,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .analytics import binary_entropy
-from .dynamics import BranchingState, PureState
+from .dynamics import BranchingState, PureState, _site_overlaps
 
 _EIG_TOL = 1e-9
 
@@ -143,12 +143,55 @@ def fragment_decoherence_factor(bs: BranchingState, frag: Fragment) -> complex:
     return bs.overlap(sites)
 
 
-def _branch_entropy(weight_product: float, gamma_sq) -> np.ndarray:
-    """Entropy (bits) of a rank-<=2 reduction of a branching state whose two
-    branch components have squared overlap ``gamma_sq``; ``weight_product`` is
-    |alpha0|^2 |beta0|^2."""
-    radicand = np.clip(1.0 - 4.0 * weight_product * (1.0 - np.asarray(gamma_sq)), 0.0, 1.0)
+def _rank2_entropy(weight, x) -> np.ndarray:
+    """Entropy (bits) of a rank-<=2 reduction of a branching state, whose
+    eigenvalues are (1 +- sqrt(1 - 4 w x)) / 2 with w = |alpha0|^2 |beta0|^2.
+
+    x = 1 - |Gamma|^2 gives the entropy of a block whose two branch components
+    have squared overlap |Gamma|^2; x = |Gamma_F|^2 - |Gamma|^2 gives the
+    conditional term of the Holevo quantity.
+    """
+    radicand = np.clip(1.0 - 4.0 * weight * x, 0.0, 1.0)
     return binary_entropy(0.5 * (1.0 + np.sqrt(radicand)))
+
+
+def _closed_form_tables(alpha0, beta0, site_coeffs, fields, times, fragments):
+    """Exact I, Holevo and S_S of a branching evolution, vectorized over times.
+
+    ``fragments`` holds one list of 1-based site tuples per column; each
+    column averages over its tuples. Returns I and Holevo tables of shape
+    (T, F) and S_S of shape (T,).
+
+    Uses the rank-<=2 structure of every reduction of a branching state: the
+    entropy of the system, fragment, and system+fragment blocks depends only
+    on the squared branch overlaps of the environment, the fragment, and the
+    fragment's complement (the last via purity of the global state).
+    """
+    n_env = site_coeffs.shape[0]
+    gam = _site_overlaps(site_coeffs, fields, times)  # (T, N)
+    weight = abs(alpha0) ** 2 * abs(beta0) ** 2
+    g_env_sq = np.abs(np.prod(gam, axis=1)) ** 2
+    s_sys = _rank2_entropy(weight, 1.0 - g_env_sq)
+
+    n_t = times.shape[0]
+    n_f = len(fragments)
+    i_vals = np.empty((n_t, n_f))
+    chi_vals = np.empty((n_t, n_f))
+    for fi, subsets in enumerate(fragments):
+        i_acc = np.zeros(n_t)
+        chi_acc = np.zeros(n_t)
+        for subset in subsets:
+            idx = [s - 1 for s in subset]
+            comp = [k for k in range(n_env) if k + 1 not in subset]
+            g_frag_sq = np.abs(np.prod(gam[:, idx], axis=1)) ** 2
+            g_fbar_sq = np.abs(np.prod(gam[:, comp], axis=1)) ** 2
+            s_frag = _rank2_entropy(weight, 1.0 - g_frag_sq)
+            s_joint = _rank2_entropy(weight, 1.0 - g_fbar_sq)
+            i_acc += s_sys + s_frag - s_joint
+            chi_acc += s_sys - _rank2_entropy(weight, g_frag_sq - g_env_sq)
+        i_vals[:, fi] = i_acc / len(subsets)
+        chi_vals[:, fi] = chi_acc / len(subsets)
+    return i_vals, chi_vals, s_sys
 
 
 def holevo_branching(bs: BranchingState, frag: Fragment) -> float:
@@ -159,13 +202,10 @@ def holevo_branching(bs: BranchingState, frag: Fragment) -> float:
     oracle below for single-site fragments).
     """
     sites = _fragment_sites(frag, bs.n_env)
-    weight = abs(bs.alpha0) ** 2 * abs(bs.beta0) ** 2
-    g_env = abs(bs.overlap()) ** 2
-    g_frag = abs(bs.overlap(sites)) ** 2
-    term_env = _branch_entropy(weight, g_env)
-    radicand = np.clip(1.0 - 4.0 * weight * (g_frag - g_env), 0.0, 1.0)
-    term_frag = binary_entropy(0.5 * (1.0 + np.sqrt(radicand)))
-    return float(term_env - term_frag)
+    _, chi, _ = _closed_form_tables(
+        bs.alpha0, bs.beta0, bs.site_coeffs, bs.fields, np.array([bs.time]), [[sites]]
+    )
+    return float(chi[0, 0])
 
 
 def holevo_grid_oracle(psi: PureState, frag: Fragment, resolution: int = 64) -> float:

@@ -162,6 +162,18 @@ class Random:
 CoefficientSource = Union[Zero, Constant, Random]
 
 
+# Keys of the model-spec JSON schema, and the parameter key of each source type.
+_SPEC_KEYS = ("label", "n_env", "b0", "sys_env", "intra_env", "env_fields")
+_SOURCE_KEYS = {"const": "value", "uniform": "a", "discrete": "support"}
+
+
+def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
+    """Raise ValueError naming the first key of a JSON object outside ``allowed``."""
+    for key in doc:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {where}; allowed: {sorted(allowed)}")
+
+
 def _canonical_source(src):
     """Normalize sources: drop zeros, turn point masses into constants."""
     if isinstance(src, Random) and isinstance(src.dist, PointMass):
@@ -307,25 +319,32 @@ class ModelSpec:
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
         def dec(obj):
             kind = obj.get("type")
+            if kind not in _SOURCE_KEYS:
+                raise ValueError(f"unknown source type {kind!r}")
+            _reject_unknown_keys(obj, ("type", _SOURCE_KEYS[kind]), f"{kind} source")
             if kind == "const":
                 return Constant(float(obj["value"]))
             if kind == "uniform":
                 return Random(ContinuousUniform(float(obj["a"])))
-            if kind == "discrete":
-                return Random(DiscreteUniform(tuple(obj["support"])))
-            raise ValueError(f"unknown source type {kind!r}")
+            return Random(DiscreteUniform(tuple(obj["support"])))
 
+        def entries(name, keys):
+            for entry in doc.get(name, []):
+                _reject_unknown_keys(entry, keys, f"{name} entry")
+                yield entry
+
+        _reject_unknown_keys(doc, _SPEC_KEYS, "model spec")
         sys_env = {}
-        for entry in doc.get("sys_env", []):
+        for entry in entries("sys_env", ("axes", "site", "source")):
             axes = entry["axes"]
             sys_env[(axes[0], int(entry["site"]), axes[1])] = dec(entry["source"])
         intra_env = {}
-        for entry in doc.get("intra_env", []):
+        for entry in entries("intra_env", ("axes", "sites", "source")):
             axes = entry["axes"]
             i, j = entry["sites"]
             intra_env[(int(i), int(j), axes[0], axes[1])] = dec(entry["source"])
         env_fields = {}
-        for entry in doc.get("env_fields", []):
+        for entry in entries("env_fields", ("site", "component", "source")):
             env_fields[(int(entry["site"]), entry["component"])] = dec(entry["source"])
         return cls(
             label=str(doc.get("label", "")),

@@ -63,6 +63,18 @@ class TestClassifyCommand:
         assert main(["classify", "--config", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+        # a misspelled key must not silently drop the scrambling couplings
+        typo = tmp_path / "typo.json"
+        scramble = {"type": "uniform", "a": 0.03}
+        typo.write_text(json.dumps({
+            "label": "CPDI_S",
+            "n_env": 2,
+            "sys_env": [{"axes": "zz", "site": 1, "source": {"type": "uniform", "a": 1.0}}],
+            "intra_envs": [{"axes": "zz", "sites": [1, 2], "source": scramble}],
+        }))
+        assert main(["classify", "--config", str(typo)]) == 2
+        assert "intra_envs" in capsys.readouterr().err
+
 
 class TestFig2Command:
     def test_csv_contents(self, tmp_path):
@@ -168,9 +180,13 @@ class TestSweepCommand:
         code = main(["sweep", "--config", config, "--out", "/nonexistent/dir/x.csv"])
         assert code == 1
 
-    def test_invalid_config_is_usage_error(self, tmp_path):
+    def test_invalid_config_is_usage_error(self, tmp_path, capsys):
         config = write_sweep_config(tmp_path, time_grid=[])
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        # a misspelled key must not silently run with the default master seed
+        config = write_sweep_config(tmp_path, master_sed=5)
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "master_sed" in capsys.readouterr().err
 
 
 class TestUsageErrors:

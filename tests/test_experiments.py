@@ -73,14 +73,24 @@ class TestRunSweep:
         np.testing.assert_array_equal(a.chi_mean, b.chi_mean)
         np.testing.assert_array_equal(a.ratio_mean, b.ratio_mean)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("QDARWIN_THREADS", "1")
-        serial = q.run_sweep(small_config(realizations=6))
-        monkeypatch.setenv("QDARWIN_THREADS", "3")
-        threaded = q.run_sweep(small_config(realizations=6))
-        np.testing.assert_array_equal(serial.i_mean, threaded.i_mean)
-        np.testing.assert_array_equal(serial.i_stderr, threaded.i_stderr)
-        np.testing.assert_array_equal(serial.discord_mean, threaded.discord_mean)
+    def test_sweep_matches_scalar_api_per_realization(self):
+        config = small_config(realizations=3, keep_realizations=True)
+        res = q.run_sweep(config)
+        spec = q.build_model(config.model, config.n_env)
+        for r in range(config.realizations):
+            rng = np.random.default_rng(q.mix_seed(config.master_seed, r))
+            instance = q.sample_instance(spec, rng)
+            init = q.random_product_state(config.n_env + 1, rng)
+            fields = instance.j_tensor[0, 1:, 2, 2]
+            for ti, t in enumerate(config.time_grid):
+                bs = q.evolve_branching(init, fields, t)
+                psi = q.branching_to_dense(bs)
+                for fi, n in enumerate(config.fragment_sizes):
+                    frag = range(1, n + 1)
+                    chi = q.holevo_branching(bs, frag)
+                    assert abs(res.chi_values[r, ti, fi] - chi) < 1e-12
+                    info = q.mutual_information(psi, frag)
+                    assert abs(res.i_values[r, ti, fi] - info) < 1e-9
 
     def test_dense_and_branching_engines_agree(self):
         base = small_config(realizations=4, keep_realizations=True)
