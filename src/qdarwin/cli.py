@@ -63,9 +63,11 @@ def write_csv(result: SweepResult, path) -> None:
 
 
 def write_sidecar(result: SweepResult, path) -> None:
-    """JSON sidecar: config echo, master seed, and code version."""
+    """JSON sidecar: config echo, the engine that ran, master seed, and code
+    version."""
     doc = {
         "config": result.config.to_json_dict(),
+        "engine": result.engine,
         "master_seed": result.config.master_seed,
         "realizations": result.realizations,
         "version": __version__,

@@ -140,10 +140,12 @@ class SweepResult:
     NaN when the model does not keep an initially separable state in
     branching form (no closed form is available there). When the sweep was
     run with ``keep_realizations``, the per-realization values are retained
-    with a leading realization axis.
+    with a leading realization axis. ``engine`` is the engine that ran, with
+    ``auto`` resolved.
     """
 
     config: ExperimentConfig
+    engine: str
     times: np.ndarray
     fragment_sizes: np.ndarray
     realizations: int
@@ -296,6 +298,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     return SweepResult(
         config=config,
+        engine=engine,
         times=times,
         fragment_sizes=sizes,
         realizations=r_count,

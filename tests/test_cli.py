@@ -147,6 +147,20 @@ class TestSweepCommand:
         assert svg_text.startswith("<svg")
         assert "fragment size" in svg_text
 
+    @pytest.mark.parametrize(
+        "model, engine", [("CPDI", "branching"), ("CODI", "dense"), ("CPDI_S", "diagonal")]
+    )
+    def test_sidecar_records_engine_that_ran(self, tmp_path, model, engine):
+        config = write_sweep_config(tmp_path, model=model, n_env=2, fragment_sizes=[0, 1, 2])
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert sidecar["engine"] == engine
+        assert sidecar["config"]["engine"] == "auto"
+        with open(config) as fh:
+            given = q.ExperimentConfig.from_json_dict(json.load(fh))
+        assert q.ExperimentConfig.from_json_dict(sidecar["config"]) == given
+
     def test_seed_override(self, tmp_path):
         config = write_sweep_config(tmp_path)
         out_a = tmp_path / "a.csv"

@@ -2,10 +2,76 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdarwin as q
 
-from helpers import bell_branching, kron_pauli, random_branching
+from helpers import (
+    bell_branching,
+    kron_pauli,
+    oracle_hamiltonian,
+    random_branching,
+    random_generic_instance,
+)
+
+ORACLE_TIMES = (0.3, 1.0, 3.0, 25.0)
+
+
+def oracle_evolution(instance, psi0, times):
+    """exp(-iHt) psi0 from one full eigendecomposition of the oracle H."""
+    energies, modes = np.linalg.eigh(oracle_hamiltonian(instance))
+    coeffs = modes.conj().T @ psi0.amplitudes
+    return [modes @ (np.exp(-1j * energies * t) * coeffs) for t in times]
+
+
+def with_z_fields_and_idle_site(instance, rng):
+    """Copy of ``instance`` with random z fields on every qubit and every
+    coupling of the last environment site removed."""
+    jt = instance.j_tensor.copy()
+    jt[:, -1] = 0.0
+    fields = instance.fields.copy()
+    fields[:, 2] = rng.uniform(-1.0, 1.0, instance.n_qubits)
+    return q.ModelInstance(n_env=instance.n_env, j_tensor=jt, fields=fields)
+
+
+def transverse_pair_instance(rng):
+    """z couplings to the system, plus x/y fields and an xx/yy coupling on
+    environment sites 2 and 4 only: 4x4 blocks over bits 2 and 4."""
+    n = 5
+    jt = np.zeros((n, n, 3, 3))
+    jt[0, 1:, 2, 2] = rng.uniform(-1.0, 1.0, n - 1)
+    jt[2, 4, 0, 0] = 0.7
+    jt[2, 4, 1, 1] = -0.4
+    fields = np.zeros((n, 3))
+    fields[:, 2] = rng.uniform(-1.0, 1.0, n)
+    fields[2, 0] = 0.3
+    fields[4, 1] = 0.5
+    return q.ModelInstance(n_env=n - 1, j_tensor=jt, fields=fields)
+
+
+def block_case(name, rng):
+    if name == "CODI":
+        inst = q.sample_instance(q.build_model("CODI", 6), rng)
+        return with_z_fields_and_idle_site(inst, rng), 2
+    if name == "CPDI_S":
+        inst = q.sample_instance(q.build_model("CPDI_S", 6), rng)
+        return with_z_fields_and_idle_site(inst, rng), 1
+    if name == "transverse-pair":
+        return transverse_pair_instance(rng), 4
+    return random_generic_instance(rng, 4), 32
+
+
+def assert_matches_oracle(instance, block_size, seed):
+    prop = q.DensePropagator(instance)
+    assert prop._modes.shape[1:] == (block_size, block_size)
+    psi0 = q.dense_product_state(q.random_product_state(instance.n_qubits, seed))
+    for t, expected in zip(ORACLE_TIMES, oracle_evolution(instance, psi0, ORACLE_TIMES)):
+        assert np.max(np.abs(prop.evolve(psi0, t).amplitudes - expected)) <= 1e-10
+    if instance.is_z_only():
+        energies = q.DiagonalPropagator(instance)._energies
+        oracle = np.diag(oracle_hamiltonian(instance)).real
+        assert np.max(np.abs(energies - oracle)) <= 1e-12
 
 
 class TestRandomProductState:
@@ -120,6 +186,40 @@ class TestDenseEngine:
                 psi_d = prop.evolve(q.dense_product_state(init), t)
                 aligned = q.align_global_phase(psi_b, psi_d)
                 assert np.max(np.abs(aligned.amplitudes - psi_d.amplitudes)) < 1e-8
+
+    @pytest.mark.parametrize("case", ["CODI", "CPDI_S", "transverse-pair", "generic"])
+    def test_block_spectral_path_matches_oracle(self, case):
+        rng = np.random.default_rng(17)
+        instance, block_size = block_case(case, rng)
+        assert_matches_oracle(instance, block_size, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_qubits=st.integers(2, 6),
+        flip_mask=st.integers(0, 63),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_size_follows_flipped_qubits(self, n_qubits, flip_mask, seed):
+        # qubits in the mask carry x/y factors, the rest only z; every term is
+        # present with probability 1/2
+        flip_mask &= (1 << n_qubits) - 1
+        flips = [bool(flip_mask >> k & 1) for k in range(n_qubits)]
+        rng = np.random.default_rng(seed)
+        jt = np.zeros((n_qubits, n_qubits, 3, 3))
+        for i in range(n_qubits):
+            for j in range(i + 1, n_qubits):
+                for a in range(3) if flips[i] else (2,):
+                    for b in range(3) if flips[j] else (2,):
+                        if rng.random() < 0.5:
+                            jt[i, j, a, b] = rng.uniform(-1.0, 1.0)
+        fields = np.zeros((n_qubits, 3))
+        for k in range(n_qubits):
+            if rng.random() < 0.5:
+                fields[k, 2] = rng.uniform(-1.0, 1.0)
+            if flips[k]:
+                fields[k, rng.integers(2)] = rng.uniform(0.1, 1.0)
+        instance = q.ModelInstance(n_env=n_qubits - 1, j_tensor=jt, fields=fields)
+        assert_matches_oracle(instance, 1 << sum(flips), seed)
 
     def test_composition(self):
         inst = q.sample_instance(q.build_model("CODI", 3), 1)
