@@ -156,14 +156,9 @@ def random_product_state(n_qubits: int, seed) -> ProductCoeffs:
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     rng = _as_rng(seed)
-    coeffs = np.empty((n_qubits, 2), dtype=complex)
-    for k in range(n_qubits):
-        u = rng.random()
-        phase_a = rng.uniform(0.0, 2.0 * np.pi)
-        phase_b = rng.uniform(0.0, 2.0 * np.pi)
-        coeffs[k, 0] = np.sqrt(u) * np.exp(1j * phase_a)
-        coeffs[k, 1] = np.sqrt(1.0 - u) * np.exp(1j * phase_b)
-    return ProductCoeffs(coeffs)
+    draws = rng.random((n_qubits, 3))  # per site: weight, phase of a, phase of b
+    u = draws[:, :1]
+    return ProductCoeffs(np.sqrt(np.hstack([u, 1.0 - u])) * np.exp(2j * np.pi * draws[:, 1:]))
 
 
 def evolve_branching(init: ProductCoeffs, fields, t: float) -> BranchingState:

@@ -6,6 +6,11 @@ Each realization r is reproducible in isolation: its generator is seeded with
 initial product state, and (for the random-subset policy) the fragments.
 Realizations run one after another in index order, so a sweep is
 deterministic in its config alone.
+
+A realization's fragments are one boolean table ``masks[F, S, N]``: F
+fragment sizes, S subsets per size (1 for the prefix policy,
+``subsets_per_realization`` for the random one), N environment sites. Each
+(time, size) cell averages its quantity over the S subsets.
 """
 
 from __future__ import annotations
@@ -188,37 +193,39 @@ def _resolve_engine(spec: ModelSpec, engine: str) -> str:
     return engine
 
 
-def _draw_fragments(rng, config: ExperimentConfig, n_env: int) -> list:
-    """One list of site tuples per fragment size, drawn in grid order."""
-    fragments = []
-    for n in config.fragment_sizes:
-        if config.fragment_policy == "prefix":
-            fragments.append([tuple(range(1, n + 1))])
-        else:
-            subsets = []
-            for _ in range(config.subsets_per_realization):
-                picked = rng.permutation(np.arange(1, n_env + 1))[:n]
-                subsets.append(tuple(sorted(int(s) for s in picked)))
-            fragments.append(subsets)
-    return fragments
+def _draw_fragments(rng, config: ExperimentConfig, n_env: int) -> np.ndarray:
+    """Boolean site masks of shape (F, S, N): ``masks[f, s, k]`` is True when
+    site k + 1 belongs to subset s of the f-th fragment size.
+
+    The prefix policy has S = 1 and takes sites 1..n. The random policy draws,
+    for each size in grid order, S = ``subsets_per_realization`` subsets, each
+    the first n entries of a fresh permutation of the N sites.
+    """
+    sizes = np.asarray(config.fragment_sizes)[:, None, None]
+    if config.fragment_policy == "prefix":
+        return np.arange(n_env) < sizes
+    perms = [
+        [rng.permutation(n_env) for _ in range(config.subsets_per_realization)]
+        for _ in config.fragment_sizes
+    ]
+    return np.argsort(perms, axis=-1) < sizes  # a site's rank in its permutation
 
 
-def _state_tables(propagator, init, times, fragments):
+def _state_tables(propagator, init, times, masks):
     """I and S_S from explicit states and partial-trace entropies."""
     psi0 = dense_product_state(init)
-    n_t = times.shape[0]
-    n_f = len(fragments)
-    i_vals = np.empty((n_t, n_f))
-    s_sys = np.empty(n_t)
+    fragments = [[(np.flatnonzero(row) + 1).tolist() for row in rows] for rows in masks]
+    i_vals = np.empty((times.shape[0], len(fragments)))
+    s_sys = np.empty(times.shape[0])
     for ti, t in enumerate(times):
         psi = propagator.evolve(psi0, t)
         s_s = subsystem_entropy(psi, [0])
         s_sys[ti] = s_s
         for fi, subsets in enumerate(fragments):
             acc = 0.0
-            for subset in subsets:
-                s_f = subsystem_entropy(psi, list(subset))
-                s_sf = subsystem_entropy(psi, [0, *subset])
+            for sites in subsets:
+                s_f = subsystem_entropy(psi, sites)
+                s_sf = subsystem_entropy(psi, [0, *sites])
                 acc += s_s + s_f - s_sf
             i_vals[ti, fi] = acc / len(subsets)
     return i_vals, s_sys
@@ -228,7 +235,7 @@ def _run_realization(spec: ModelSpec, config: ExperimentConfig, engine: str, r: 
     rng = np.random.default_rng(mix_seed(config.master_seed, r))
     instance = sample_instance(spec, rng)
     init = random_product_state(spec.n_env + 1, rng)
-    fragments = _draw_fragments(rng, config, spec.n_env)
+    masks = _draw_fragments(rng, config, spec.n_env)
     times = np.asarray(config.time_grid)
 
     chi_vals = None
@@ -236,14 +243,14 @@ def _run_realization(spec: ModelSpec, config: ExperimentConfig, engine: str, r: 
         (alpha0, beta0), site_coeffs = init.coeffs[0], init.coeffs[1:]
         fields = instance.j_tensor[0, 1:, 2, 2]
         i_vals, chi_vals, s_sys = _closed_form_tables(
-            alpha0, beta0, site_coeffs, fields, times, fragments
+            alpha0, beta0, site_coeffs, fields, times, masks
         )
     if engine != "branching":
         # the state engines take I and S_S from explicit states; Holevo stays closed-form
         propagator = (
             DiagonalPropagator(instance) if engine == "diagonal" else DensePropagator(instance)
         )
-        i_vals, s_sys = _state_tables(propagator, init, times, fragments)
+        i_vals, s_sys = _state_tables(propagator, init, times, masks)
 
     smax = binary_entropy(abs(init.coeffs[0, 0]) ** 2)
     if config.normalize == "smax":

@@ -155,42 +155,38 @@ def _rank2_entropy(weight, x) -> np.ndarray:
     return binary_entropy(0.5 * (1.0 + np.sqrt(radicand)))
 
 
-def _closed_form_tables(alpha0, beta0, site_coeffs, fields, times, fragments):
-    """Exact I, Holevo and S_S of a branching evolution, vectorized over times.
+def _closed_form_tables(alpha0, beta0, site_coeffs, fields, times, masks):
+    """Exact I, Holevo and S_S of a branching evolution, vectorized over times,
+    fragment columns and subsets.
 
-    ``fragments`` holds one list of 1-based site tuples per column; each
-    column averages over its tuples. Returns I and Holevo tables of shape
-    (T, F) and S_S of shape (T,).
+    ``masks`` is a boolean table of shape (F, S, N): ``masks[f, s, k]`` marks
+    environment site k + 1 as part of subset s of column f, and each column
+    averages over its S subsets. Returns I and Holevo tables of shape (T, F)
+    and S_S of shape (T,).
 
     Uses the rank-<=2 structure of every reduction of a branching state: the
     entropy of the system, fragment, and system+fragment blocks depends only
     on the squared branch overlaps of the environment, the fragment, and the
     fragment's complement (the last via purity of the global state).
     """
-    n_env = site_coeffs.shape[0]
     gam = _site_overlaps(site_coeffs, fields, times)  # (T, N)
     weight = abs(alpha0) ** 2 * abs(beta0) ** 2
     g_env_sq = np.abs(np.prod(gam, axis=1)) ** 2
     s_sys = _rank2_entropy(weight, 1.0 - g_env_sq)
 
-    n_t = times.shape[0]
-    n_f = len(fragments)
-    i_vals = np.empty((n_t, n_f))
-    chi_vals = np.empty((n_t, n_f))
-    for fi, subsets in enumerate(fragments):
-        i_acc = np.zeros(n_t)
-        chi_acc = np.zeros(n_t)
-        for subset in subsets:
-            idx = [s - 1 for s in subset]
-            comp = [k for k in range(n_env) if k + 1 not in subset]
-            g_frag_sq = np.abs(np.prod(gam[:, idx], axis=1)) ** 2
-            g_fbar_sq = np.abs(np.prod(gam[:, comp], axis=1)) ** 2
-            s_frag = _rank2_entropy(weight, 1.0 - g_frag_sq)
-            s_joint = _rank2_entropy(weight, 1.0 - g_fbar_sq)
-            i_acc += s_sys + s_frag - s_joint
-            chi_acc += s_sys - _rank2_entropy(weight, g_frag_sq - g_env_sq)
-        i_vals[:, fi] = i_acc / len(subsets)
-        chi_vals[:, fi] = chi_acc / len(subsets)
+    # Sites lead and lie outermost in memory, so each product multiplies whole
+    # (S, T, F) slabs in site order and rounds exactly as the product of the
+    # chosen sites alone (an unchosen site contributes an exact 1); subsets
+    # lead the results, so the means add them in order.
+    in_frag = np.ascontiguousarray(masks.T)[:, :, None, :]  # (N, S, 1, F)
+    gam_sites = np.ascontiguousarray(gam.T)[:, None, :, None]  # (N, 1, T, 1)
+    g_frag_sq = np.abs(np.prod(np.where(in_frag, gam_sites, 1), axis=0)) ** 2
+    g_fbar_sq = np.abs(np.prod(np.where(in_frag, 1, gam_sites), axis=0)) ** 2
+    s_frag = _rank2_entropy(weight, 1.0 - g_frag_sq)
+    s_joint = _rank2_entropy(weight, 1.0 - g_fbar_sq)
+    s_cond = _rank2_entropy(weight, g_frag_sq - g_env_sq[:, None])
+    i_vals = np.mean(s_sys[:, None] + s_frag - s_joint, axis=0)
+    chi_vals = np.mean(s_sys[:, None] - s_cond, axis=0)
     return i_vals, chi_vals, s_sys
 
 
@@ -202,8 +198,9 @@ def holevo_branching(bs: BranchingState, frag: Fragment) -> float:
     oracle below for single-site fragments).
     """
     sites = _fragment_sites(frag, bs.n_env)
+    mask = np.isin(np.arange(1, bs.n_env + 1), sites)[None, None]
     _, chi, _ = _closed_form_tables(
-        bs.alpha0, bs.beta0, bs.site_coeffs, bs.fields, np.array([bs.time]), [[sites]]
+        bs.alpha0, bs.beta0, bs.site_coeffs, bs.fields, np.array([bs.time]), mask
     )
     return float(chi[0, 0])
 

@@ -514,26 +514,14 @@ def sample_instance(spec: ModelSpec, seed) -> ModelInstance:
     rng = _as_rng(seed)
     n = spec.n_env
     jt = np.zeros((n + 1, n + 1, 3, 3))
-    for a, alpha in enumerate(AXES):
-        for j in range(1, n + 1):
-            for b, beta in enumerate(AXES):
-                src = spec.sys_env.get((alpha, j, beta))
-                if src is not None:
-                    jt[0, j, a, b] = src.draw(rng)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for a, alpha in enumerate(AXES):
-                for b, beta in enumerate(AXES):
-                    src = spec.intra_env.get((i, j, alpha, beta))
-                    if src is not None:
-                        jt[i, j, a, b] = src.draw(rng)
+    for (alpha, j, beta), src in sorted(spec.sys_env.items()):
+        jt[0, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = src.draw(rng)
+    for (i, j, alpha, beta), src in sorted(spec.intra_env.items()):
+        jt[i, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = src.draw(rng)
     fields = np.zeros((n + 1, 3))
     fields[0] = spec.b0.as_array()
-    for site in range(1, n + 1):
-        for c, comp in enumerate(AXES):
-            src = spec.env_fields.get((site, comp))
-            if src is not None:
-                fields[site, c] = src.draw(rng)
+    for (site, comp), src in sorted(spec.env_fields.items()):
+        fields[site, _AXIS_INDEX[comp]] = src.draw(rng)
     return ModelInstance(n_env=n, j_tensor=jt, fields=fields)
 
 
@@ -612,19 +600,8 @@ def hamiltonian_matrix(instance: ModelInstance) -> np.ndarray:
     dim = 1 << n_qubits
     basis = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_qubits):
-        for j in range(i + 1, n_qubits):
-            block = instance.j_tensor[i, j]
-            if not block.any():
-                continue
-            for a in range(3):
-                for b in range(3):
-                    coeff = block[a, b]
-                    if coeff != 0.0:
-                        _apply_pauli_term(h, basis, coeff, [(i, a), (j, b)])
-    for site in range(n_qubits):
-        for c in range(3):
-            coeff = instance.fields[site, c]
-            if coeff != 0.0:
-                _apply_pauli_term(h, basis, coeff, [(site, c)])
+    for i, j, a, b in zip(*np.nonzero(instance.j_tensor)):
+        _apply_pauli_term(h, basis, instance.j_tensor[i, j, a, b], [(i, a), (j, b)])
+    for site, c in zip(*np.nonzero(instance.fields)):
+        _apply_pauli_term(h, basis, instance.fields[site, c], [(site, c)])
     return h

@@ -91,6 +91,21 @@ class TestRandomProductState:
         eps = np.abs(init.coeffs[:, 0]) ** 4 + np.abs(init.coeffs[:, 1]) ** 4
         assert abs(eps.mean() - 2.0 / 3.0) < 5e-3
 
+    def test_matches_per_site_scalar_draws(self):
+        # documented order per site: weight, then the phases of a and b
+        rng = np.random.default_rng(31)
+        expected = np.empty((7, 2), dtype=complex)
+        for k in range(7):
+            u = rng.random()
+            phase_a = rng.uniform(0.0, 2.0 * np.pi)
+            phase_b = rng.uniform(0.0, 2.0 * np.pi)
+            expected[k, 0] = np.sqrt(u) * np.exp(1j * phase_a)
+            expected[k, 1] = np.sqrt(1.0 - u) * np.exp(1j * phase_b)
+        gen = np.random.default_rng(31)
+        init = q.random_product_state(7, gen)
+        np.testing.assert_array_equal(init.coeffs, expected)
+        assert gen.random() == rng.random()  # same number of draws
+
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             q.random_product_state(0, 1)

@@ -74,23 +74,42 @@ class TestRunSweep:
         np.testing.assert_array_equal(a.ratio_mean, b.ratio_mean)
 
     def test_sweep_matches_scalar_api_per_realization(self):
-        config = small_config(realizations=3, keep_realizations=True)
-        res = q.run_sweep(config)
-        spec = q.build_model(config.model, config.n_env)
-        for r in range(config.realizations):
-            rng = np.random.default_rng(q.mix_seed(config.master_seed, r))
-            instance = q.sample_instance(spec, rng)
-            init = q.random_product_state(config.n_env + 1, rng)
-            fields = instance.j_tensor[0, 1:, 2, 2]
-            for ti, t in enumerate(config.time_grid):
-                bs = q.evolve_branching(init, fields, t)
-                psi = q.branching_to_dense(bs)
-                for fi, n in enumerate(config.fragment_sizes):
-                    frag = range(1, n + 1)
-                    chi = q.holevo_branching(bs, frag)
-                    assert abs(res.chi_values[r, ti, fi] - chi) < 1e-12
-                    info = q.mutual_information(psi, frag)
-                    assert abs(res.i_values[r, ti, fi] - info) < 1e-9
+        for config in (
+            small_config(realizations=3, keep_realizations=True),
+            small_config(
+                realizations=3,
+                keep_realizations=True,
+                fragment_policy="random",
+                subsets_per_realization=3,
+            ),
+        ):
+            res = q.run_sweep(config)
+            spec = q.build_model(config.model, config.n_env)
+            for r in range(config.realizations):
+                rng = np.random.default_rng(q.mix_seed(config.master_seed, r))
+                instance = q.sample_instance(spec, rng)
+                init = q.random_product_state(config.n_env + 1, rng)
+                # documented draw: per size in grid order, each subset is the
+                # first n entries of a fresh permutation of the sites
+                fragments = [
+                    [
+                        rng.permutation(np.arange(1, config.n_env + 1))[:n]
+                        for _ in range(config.subsets_per_realization)
+                    ]
+                    if config.fragment_policy == "random"
+                    else [range(1, n + 1)]
+                    for n in config.fragment_sizes
+                ]
+                fields = instance.j_tensor[0, 1:, 2, 2]
+                for ti, t in enumerate(config.time_grid):
+                    bs = q.evolve_branching(init, fields, t)
+                    psi = q.branching_to_dense(bs)
+                    for fi, subsets in enumerate(fragments):
+                        chi = np.mean([q.holevo_branching(bs, f) for f in subsets])
+                        info = np.mean([q.mutual_information(psi, f) for f in subsets])
+                        where = (config.fragment_policy, r, ti, fi)
+                        assert abs(res.chi_values[r, ti, fi] - chi) < 1e-12, where
+                        assert abs(res.i_values[r, ti, fi] - info) < 1e-9, where
 
     def test_dense_and_branching_engines_agree(self):
         base = small_config(realizations=4, keep_realizations=True)

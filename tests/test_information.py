@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import qdarwin as q
+from qdarwin.information import _closed_form_tables
 
 from helpers import bell_branching, random_branching, small_overlap_branching
 
@@ -165,6 +169,44 @@ class TestHolevo:
                 s_s = q.subsystem_entropy(psi, [0])
                 assert -1e-12 <= chi <= i_val + 1e-9
                 assert i_val <= 2 * s_s + 1e-9
+
+
+class TestClosedFormKernel:
+    @settings(max_examples=40)
+    @given(data=st.data(), n_env=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_mask_table_bounds_and_dense_oracle(self, data, n_env, seed):
+        n_f = data.draw(st.integers(1, 4), label="fragment columns")
+        n_s = data.draw(st.integers(1, 3), label="subsets per column")
+        masks = data.draw(hnp.arrays(bool, (n_f, n_s, n_env)), label="masks")
+        rng = np.random.default_rng(seed)
+        init = q.random_product_state(n_env + 1, rng)
+        fields = rng.uniform(-1.0, 1.0, n_env)
+        times = np.sort(rng.uniform(0.0, 4.0, 3))
+        (alpha0, beta0), site_coeffs = init.coeffs[0], init.coeffs[1:]
+        i_vals, chi_vals, s_sys = _closed_form_tables(
+            alpha0, beta0, site_coeffs, fields, times, masks
+        )
+        assert i_vals.shape == chi_vals.shape == (3, n_f)
+        assert np.all(chi_vals >= -1e-12)
+        assert np.all(chi_vals <= i_vals + 1e-12)  # discord I - chi >= -1e-12
+        assert np.all(i_vals <= 2.0 * s_sys[:, None] + 1e-12)
+        weight = abs(alpha0) ** 2 * abs(beta0) ** 2
+        for ti, t in enumerate(times):
+            bs = q.evolve_branching(init, fields, t)
+            psi = q.branching_to_dense(bs)
+            assert abs(s_sys[ti] - q.subsystem_entropy(psi, [0])) < 1e-9
+            env_sq = abs(bs.overlap()) ** 2
+            for fi, rows in enumerate(masks):
+                subsets = [np.flatnonzero(row) + 1 for row in rows]
+                info = np.mean([q.mutual_information(psi, sites) for sites in subsets])
+                assert abs(i_vals[ti, fi] - info) < 1e-9
+                # Holevo one subset at a time, from the scalar overlaps
+                radicands = [
+                    max(0.0, 1.0 - 4.0 * weight * (abs(bs.overlap(sites)) ** 2 - env_sq))
+                    for sites in subsets
+                ]
+                cond = np.mean([q.binary_entropy(0.5 + 0.5 * np.sqrt(r)) for r in radicands])
+                assert abs(chi_vals[ti, fi] - (s_sys[ti] - cond)) < 1e-12
 
 
 class TestHolevoGridOracle:

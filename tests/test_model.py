@@ -142,6 +142,55 @@ class TestSampleInstance:
         assert abs(draws.mean()) < 0.01
         assert abs(draws.var() - 1.0 / 3.0) < 0.01
 
+    def test_draw_order_follows_readme(self):
+        # entries inserted out of order, mixed axes and sources: the draws
+        # follow the documented order, not the insertion order
+        uniform = q.Random(q.ContinuousUniform(1.0))
+        support = (-1.0, 0.5, 2.0)
+        discrete = q.Random(q.DiscreteUniform(support))
+        spec = q.ModelSpec(
+            label="mixed",
+            n_env=3,
+            b0=q.Vec3(0.2, 0.0, -0.4),
+            sys_env={
+                ("z", 1, "x"): uniform,
+                ("x", 3, "y"): discrete,
+                ("y", 1, "y"): q.Constant(0.7),
+                ("x", 2, "z"): uniform,
+                ("x", 2, "x"): uniform,
+            },
+            intra_env={
+                (2, 3, "z", "x"): uniform,
+                (1, 3, "y", "z"): discrete,
+                (1, 2, "x", "x"): uniform,
+            },
+            env_fields={(3, "x"): uniform, (1, "z"): discrete, (1, "x"): uniform},
+        )
+        rng = np.random.default_rng(2024)
+        jt = np.zeros((4, 4, 3, 3))
+        fields = np.zeros((4, 3))
+        fields[0] = (0.2, 0.0, -0.4)
+        # system-environment entries by (axis, site, axis), x < y < z
+        jt[0, 2, 0, 0] = rng.uniform(-1.0, 1.0)
+        jt[0, 2, 0, 2] = rng.uniform(-1.0, 1.0)
+        jt[0, 3, 0, 1] = support[int(rng.integers(3))]
+        jt[0, 1, 1, 1] = 0.7  # constant: no draw
+        jt[0, 1, 2, 0] = rng.uniform(-1.0, 1.0)
+        # intra-environment entries by (i, j, axis, axis)
+        jt[1, 2, 0, 0] = rng.uniform(-1.0, 1.0)
+        jt[1, 3, 1, 2] = support[int(rng.integers(3))]
+        jt[2, 3, 2, 0] = rng.uniform(-1.0, 1.0)
+        # environment fields by site and component
+        fields[1, 0] = rng.uniform(-1.0, 1.0)
+        fields[1, 2] = support[int(rng.integers(3))]
+        fields[3, 0] = rng.uniform(-1.0, 1.0)
+
+        gen = np.random.default_rng(2024)
+        inst = q.sample_instance(spec, gen)
+        np.testing.assert_array_equal(inst.j_tensor, jt)
+        np.testing.assert_array_equal(inst.fields, fields)
+        assert gen.random() == rng.random()  # same number of draws
+
     def test_instance_validation(self):
         jt = np.zeros((3, 3, 3, 3))
         jt[1, 0, 2, 2] = 1.0  # lower-triangular entry
