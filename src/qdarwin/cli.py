@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .analytics import averaged_gamma_curve
 from .experiments import ExperimentConfig, SweepResult, reproduce_fig2, reproduce_fig3, run_sweep
+from .information import NumericalError
 from .model import (
     ContinuousUniform,
     DiscreteUniform,
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
+    except NumericalError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

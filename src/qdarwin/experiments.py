@@ -214,18 +214,20 @@ def _draw_fragments(rng, config: ExperimentConfig, n_env: int) -> np.ndarray:
 def _state_tables(propagator, init, times, masks):
     """I and S_S from explicit states and partial-trace entropies."""
     psi0 = dense_product_state(init)
-    fragments = [[(np.flatnonzero(row) + 1).tolist() for row in rows] for rows in masks]
-    i_vals = np.empty((times.shape[0], len(fragments)))
+    # (fragment, system + fragment) kept-qubit tuples, built once per realization
+    frags = [[tuple((np.flatnonzero(row) + 1).tolist()) for row in rows] for rows in masks]
+    cuts = [[(frag, (0, *frag)) for frag in subsets] for subsets in frags]
+    i_vals = np.empty((times.shape[0], len(cuts)))
     s_sys = np.empty(times.shape[0])
     for ti, t in enumerate(times):
         psi = propagator.evolve(psi0, t)
-        s_s = subsystem_entropy(psi, [0])
+        s_s = subsystem_entropy(psi, (0,))
         s_sys[ti] = s_s
-        for fi, subsets in enumerate(fragments):
+        for fi, subsets in enumerate(cuts):
             acc = 0.0
-            for sites in subsets:
-                s_f = subsystem_entropy(psi, sites)
-                s_sf = subsystem_entropy(psi, [0, *sites])
+            for frag, joint in subsets:
+                s_f = subsystem_entropy(psi, frag)
+                s_sf = subsystem_entropy(psi, joint)
                 acc += s_s + s_f - s_sf
             i_vals[ti, fi] = acc / len(subsets)
     return i_vals, s_sys

@@ -1,5 +1,7 @@
 """Shared test utilities: independent oracles and state builders."""
 
+import string
+
 import numpy as np
 
 import qdarwin as q
@@ -40,6 +42,34 @@ def oracle_hamiltonian(instance):
             if coeff:
                 h += coeff * kron_pauli(n, {site: AXES[c]})
     return h
+
+
+def oracle_reduced_density(amplitudes, keep):
+    """Partial trace of |psi><psi| by one explicit index contraction.
+
+    Axis a of the amplitude tensor holds qubit n-1-a. Traced qubits share one
+    index between ket and bra; kept qubits get a separate bra index. Rows and
+    columns of the result index the kept qubits with keep[0] on the least
+    significant bit.
+    """
+    n = amplitudes.size.bit_length() - 1
+    ket = list(string.ascii_letters[:n])
+    bra = list(ket)
+    for q in keep:
+        bra[n - 1 - q] = string.ascii_letters[n + q]
+    rows = [ket[n - 1 - q] for q in reversed(keep)]
+    cols = [bra[n - 1 - q] for q in reversed(keep)]
+    tensor = amplitudes.reshape((2,) * n)
+    spec = f"{''.join(ket)},{''.join(bra)}->{''.join(rows + cols)}"
+    d = 1 << len(keep)
+    return np.einsum(spec, tensor, tensor.conj()).reshape(d, d)
+
+
+def oracle_entropy(rho):
+    """Entropy (bits) of a density matrix from its full spectrum."""
+    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log2(lam)))
 
 
 def bell_branching():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qdarwin as q
+from qdarwin import information
 from qdarwin.cli import CSV_HEADER, main, render_heatmap_svg, write_csv
 
 
@@ -212,6 +213,22 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+
+class TestRuntimeErrors:
+    def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # an unnormalized cut gives a reduced spectrum above 1: the range check fails
+        partition = information._partition_matrix
+        monkeypatch.setattr(
+            information, "_partition_matrix", lambda psi, keep: 2.0 * partition(psi, keep)
+        )
+        out = str(tmp_path / "codi.csv")
+        code = main(["fig3", "--model", "CODI", "--realizations", "1", "--n-env", "3", "--out", out])
+        assert code == 1
+        assert "error: numerical failure: eigenvalues out of [0, 1]" in capsys.readouterr().err
+        # an unknown config key is still a usage error
+        config = write_sweep_config(tmp_path, model="CODI", master_sed=5)
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
 
 
 class TestHeatmap:

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import qdarwin as q
+from qdarwin import experiments
 from qdarwin.experiments import _fig3_time_grid
 
 
@@ -211,6 +214,49 @@ class TestRunSweep:
         np.testing.assert_array_equal(res.value_grid("I"), res.i_mean)
         with pytest.raises(ValueError):
             res.value_grid("entropy")
+
+
+class TestCallStructure:
+    """Per realization a state engine builds one propagator, evolves once per
+    time and takes one partial-trace entropy per (time, side, subset): the
+    system once, then each subset's fragment and system + fragment."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = Counter()
+
+        def counting(key, func):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            experiments, "subsystem_entropy", counting("entropy", experiments.subsystem_entropy)
+        )
+        for cls in (q.DensePropagator, q.DiagonalPropagator):
+            monkeypatch.setattr(cls, "__init__", counting("build", cls.__init__))
+            monkeypatch.setattr(cls, "evolve", counting("evolve", cls.evolve))
+        return counts
+
+    @pytest.mark.parametrize("model,engine", [("CODI", "dense"), ("CPDI_S", "diagonal")])
+    @pytest.mark.parametrize("policy,subsets", [("prefix", 1), ("random", 3)])
+    def test_state_engine_counts(self, monkeypatch, model, engine, policy, subsets):
+        counts = self._count(monkeypatch)
+        config = small_config(
+            model=model, n_env=3, fragment_sizes=(0, 1, 3), realizations=2,
+            fragment_policy=policy, subsets_per_realization=subsets,
+        )
+        result = q.run_sweep(config)
+        assert result.engine == engine
+        r, t, f = 2, len(config.time_grid), len(config.fragment_sizes)
+        assert counts == {"entropy": r * t * (1 + 2 * f * subsets), "evolve": r * t, "build": r}
+
+    def test_branching_engine_makes_no_state_calls(self, monkeypatch):
+        counts = self._count(monkeypatch)
+        result = q.run_sweep(small_config(fragment_policy="random", subsets_per_realization=3))
+        assert result.engine == "branching"
+        assert counts == {}
 
 
 class TestFig2:

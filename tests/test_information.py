@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qdarwin as q
-from qdarwin.information import _closed_form_tables
+from qdarwin.information import NumericalError, _closed_form_tables, _cut
 
-from helpers import bell_branching, random_branching, small_overlap_branching
+from helpers import (
+    bell_branching,
+    oracle_entropy,
+    oracle_reduced_density,
+    random_branching,
+    small_overlap_branching,
+)
 
 
 class TestReducedDensity:
@@ -47,6 +53,29 @@ class TestReducedDensity:
             q.reduced_density(psi, [3])
 
 
+class TestCutPlan:
+    @settings(max_examples=40)
+    @given(data=st.data(), n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_matches_einsum_partial_trace(self, data, n, seed):
+        size = data.draw(st.integers(0, n), label="kept count")
+        keep = data.draw(st.permutations(range(n)), label="order")[:size]
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi = q.PureState(n, amps / np.linalg.norm(amps))
+        rho = oracle_reduced_density(psi.amplitudes, keep)
+        assert abs(q.subsystem_entropy(psi, keep) - oracle_entropy(rho)) < 1e-12
+        np.testing.assert_allclose(q.reduced_density(psi, keep).matrix, rho, rtol=0, atol=1e-13)
+
+    def test_bad_keeps_raise_on_every_call(self):
+        psi = q.dense_product_state(q.random_product_state(4, 0))
+        for _ in range(2):
+            for bad in ([1, 1], [0, 4], [-1]):
+                with pytest.raises(ValueError):
+                    q.subsystem_entropy(psi, bad)
+            q.subsystem_entropy(psi, [0, 1])  # a valid cut of the same n is now cached
+        assert _cut.cache_info().maxsize is not None
+
+
 class TestEntropy:
     def test_pure_state_zero(self):
         psi = q.dense_product_state(q.random_product_state(2, 1))
@@ -69,6 +98,13 @@ class TestEntropy:
         negative = np.diag([1.1, -0.1]).astype(complex)
         with pytest.raises(ValueError):
             q.von_neumann_entropy(q.DensityMatrix(negative))
+
+    def test_spectrum_out_of_range_is_numerical_error(self):
+        negative = np.diag([1.1, -0.1]).astype(complex)
+        with pytest.raises(NumericalError, match="beyond tolerance"):
+            q.von_neumann_entropy(q.DensityMatrix(negative))
+        assert issubclass(NumericalError, ValueError)
+        assert "NumericalError" not in q.__all__
 
     def test_subsystem_entropy_matches_literal_route(self):
         rng = np.random.default_rng(4)
