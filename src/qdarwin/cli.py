@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,42 +36,42 @@ CSV_HEADER = (
 
 
 def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and np.isnan(value)):
+    """12 significant digits; an empty cell for None or NaN."""
+    if value is None or value != value:
         return ""
-    return format(float(value), ".12g")
+    return format(value, ".12g")
 
 
 def write_csv(result: SweepResult, path) -> None:
     """Write the sweep table, one row per (time, fragment size), 12 significant
     digits; Holevo/discord cells are empty when the model has no closed form."""
+    head = f"{result.config.model},{result.realizations},"
+    sizes = [str(n) for n in result.fragment_sizes.tolist()]
+    grids = [
+        [[_fmt(v) for v in row] for row in grid.tolist()]
+        for grid in (
+            result.i_mean, result.i_stderr, result.chi_mean, result.chi_stderr,
+            result.discord_mean, result.s_mean, result.ratio_mean,
+        )
+    ]
     lines = [CSV_HEADER]
-    for ti in range(result.times.size):
-        for fi in range(result.fragment_sizes.size):
-            cells = [
-                result.config.model,
-                str(result.realizations),
-                _fmt(result.times[ti]),
-                str(int(result.fragment_sizes[fi])),
-                _fmt(result.i_mean[ti, fi]),
-                _fmt(result.i_stderr[ti, fi]),
-                _fmt(result.chi_mean[ti, fi]),
-                _fmt(result.chi_stderr[ti, fi]),
-                _fmt(result.discord_mean[ti, fi]),
-                _fmt(result.s_mean[ti, fi]),
-                _fmt(result.ratio_mean[ti, fi]),
-            ]
-            lines.append(",".join(cells))
+    for ti, t in enumerate(result.times.tolist()):
+        prefix = head + _fmt(t) + ","
+        for fi, n in enumerate(sizes):
+            lines.append(prefix + n + "," + ",".join([grid[ti][fi] for grid in grids]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_sidecar(result: SweepResult, path) -> None:
-    """JSON sidecar: config echo, the engine that ran, master seed, and code
-    version."""
+    """JSON sidecar: config echo, the engine that ran, master seed, the number
+    of realizations whose ratio row was set to 0 for a vanishing S_max, and
+    code version."""
     doc = {
         "config": result.config.to_json_dict(),
         "engine": result.engine,
         "master_seed": result.config.master_seed,
         "realizations": result.realizations,
+        "smax_zeroed": result.smax_zeroed,
         "version": __version__,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
@@ -133,8 +134,8 @@ def render_heatmap_svg(result: SweepResult, quantity: str, path) -> None:
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    t_edges = _edges(result.times)
-    n_edges = _edges(result.fragment_sizes.astype(float))
+    t_edges = _edges(result.times).tolist()
+    n_edges = _edges(result.fragment_sizes.astype(float)).tolist()
 
     def x_of(t):
         return left + (t - t_edges[0]) / (t_edges[-1] - t_edges[0]) * plot_w
@@ -147,17 +148,13 @@ def render_heatmap_svg(result: SweepResult, quantity: str, path) -> None:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for ti in range(result.times.size):
-        for fi in range(result.fragment_sizes.size):
-            v = values[ti, fi]
-            if not np.isfinite(v):
-                fill = "#dddddd"
-            else:
-                fill = _color((float(v) - vmin) / span)
-            x0 = x_of(t_edges[ti])
-            x1 = x_of(t_edges[ti + 1])
-            y1 = y_of(n_edges[fi])
-            y0 = y_of(n_edges[fi + 1])
+    xs = [x_of(t) for t in t_edges]
+    ys = [y_of(n) for n in n_edges]
+    for ti, row in enumerate(values.tolist()):
+        x0, x1 = xs[ti], xs[ti + 1]
+        for fi, v in enumerate(row):
+            fill = _color((v - vmin) / span) if math.isfinite(v) else "#dddddd"
+            y1, y0 = ys[fi], ys[fi + 1]
             parts.append(
                 f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" '
                 f'height="{y1 - y0:.2f}" fill="{fill}"/>'

@@ -142,11 +142,12 @@ class BranchingState:
 
 def _site_overlaps(site_coeffs: np.ndarray, fields: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Branch overlaps |a|^2 e^{-2iBt} + |b|^2 e^{+2iBt} of every site at every
-    time, shape (T, N), for per-site coefficients (a, b) and couplings B."""
-    a2 = np.abs(site_coeffs[:, 0]) ** 2
-    b2 = np.abs(site_coeffs[:, 1]) ** 2
-    phases = np.exp(-2j * np.outer(times, fields))
-    return a2[None, :] * phases + b2[None, :] * np.conj(phases)
+    time, shape (..., T, N), for per-site coefficients (a, b) of shape
+    (..., N, 2) and couplings B of shape (..., N)."""
+    a2 = np.abs(site_coeffs[..., 0]) ** 2
+    b2 = np.abs(site_coeffs[..., 1]) ** 2
+    phases = np.exp(-2j * (times[:, None] * fields[..., None, :]))
+    return a2[..., None, :] * phases + b2[..., None, :] * np.conj(phases)
 
 
 def random_product_state(n_qubits: int, seed) -> ProductCoeffs:

@@ -184,38 +184,49 @@ def _rank2_entropy(weight, x) -> np.ndarray:
     return binary_entropy(0.5 * (1.0 + np.sqrt(radicand)))
 
 
-def _closed_form_tables(alpha0, beta0, site_coeffs, fields, times, masks):
-    """Exact I, Holevo and S_S of a branching evolution, vectorized over times,
-    fragment columns and subsets.
+def _closed_form_tables(weights, site_coeffs, fields, times, masks):
+    """Exact I, Holevo and S_S of R branching evolutions, vectorized over
+    realizations, times, fragment columns and subsets.
 
-    ``masks`` is a boolean table of shape (F, S, N): ``masks[f, s, k]`` marks
-    environment site k + 1 as part of subset s of column f, and each column
-    averages over its S subsets. Returns I and Holevo tables of shape (T, F)
-    and S_S of shape (T,).
+    ``weights`` holds |alpha0|^2 |beta0|^2 per realization, shape (R,);
+    ``site_coeffs`` the environment's initial pairs, shape (R, N, 2); ``fields``
+    the couplings, shape (R, N). ``masks`` is a boolean table of shape
+    (R, F, S, N): ``masks[r, f, s, k]`` marks environment site k + 1 as part of
+    subset s of column f, and each column averages over its S subsets.
+    Returns I and Holevo tables of shape (R, T, F) and S_S of shape (R, T).
 
     Uses the rank-<=2 structure of every reduction of a branching state: the
     entropy of the system, fragment, and system+fragment blocks depends only
     on the squared branch overlaps of the environment, the fragment, and the
     fragment's complement (the last via purity of the global state).
     """
-    gam = _site_overlaps(site_coeffs, fields, times)  # (T, N)
-    weight = abs(alpha0) ** 2 * abs(beta0) ** 2
-    g_env_sq = np.abs(np.prod(gam, axis=1)) ** 2
+    gam = _site_overlaps(site_coeffs, fields, times)  # (R, T, N)
+    weight = np.asarray(weights)[:, None]  # (R, 1)
+    g_env_sq = np.abs(np.prod(gam, axis=-1)) ** 2
     s_sys = _rank2_entropy(weight, 1.0 - g_env_sq)
 
-    # Sites lead and lie outermost in memory, so each product multiplies whole
-    # (S, T, F) slabs in site order and rounds exactly as the product of the
-    # chosen sites alone (an unchosen site contributes an exact 1); subsets
-    # lead the results, so the means add them in order.
-    in_frag = np.ascontiguousarray(masks.T)[:, :, None, :]  # (N, S, 1, F)
-    gam_sites = np.ascontiguousarray(gam.T)[:, None, :, None]  # (N, 1, T, 1)
-    g_frag_sq = np.abs(np.prod(np.where(in_frag, gam_sites, 1), axis=0)) ** 2
-    g_fbar_sq = np.abs(np.prod(np.where(in_frag, 1, gam_sites), axis=0)) ** 2
-    s_frag = _rank2_entropy(weight, 1.0 - g_frag_sq)
-    s_joint = _rank2_entropy(weight, 1.0 - g_fbar_sq)
-    s_cond = _rank2_entropy(weight, g_frag_sq - g_env_sq[:, None])
-    i_vals = np.mean(s_sys[:, None] + s_frag - s_joint, axis=0)
-    chi_vals = np.mean(s_sys[:, None] - s_cond, axis=0)
+    # Each overlap product multiplies in its chosen sites one at a time, in
+    # site order, into an (R, S, T, F) accumulator; an unchosen site is skipped,
+    # which rounds as multiplying by an exact 1, so every cell rounds as the
+    # product of its own sites whatever the realization count. Subsets lead
+    # the (T, F) slabs, so the means add them in order.
+    # (N, R, S, 1, F) site masks and (N, R, 1, T, 1) site overlaps
+    in_frag = np.ascontiguousarray(masks.transpose(3, 0, 2, 1))[:, :, :, None]
+    gam_sites = np.moveaxis(gam, -1, 0)[:, :, None, :, None]
+    r_count, n_f, n_s = masks.shape[:3]
+    g_frag = np.ones((r_count, n_s, times.shape[0], n_f), dtype=complex)
+    g_fbar = np.ones_like(g_frag)
+    for site, chosen, unchosen in zip(gam_sites, in_frag, ~in_frag):
+        np.multiply(g_frag, site, out=g_frag, where=chosen)
+        np.multiply(g_fbar, site, out=g_fbar, where=unchosen)
+    g_frag_sq = np.abs(g_frag) ** 2
+    cell_weight = weight[:, None, :, None]  # (R, 1, 1, 1)
+    s_frag = _rank2_entropy(cell_weight, 1.0 - g_frag_sq)
+    s_joint = _rank2_entropy(cell_weight, 1.0 - np.abs(g_fbar) ** 2)
+    s_cond = _rank2_entropy(cell_weight, g_frag_sq - g_env_sq[:, None, :, None])
+    s_sys_cells = s_sys[:, None, :, None]
+    i_vals = np.mean(s_sys_cells + s_frag - s_joint, axis=1)
+    chi_vals = np.mean(s_sys_cells - s_cond, axis=1)
     return i_vals, chi_vals, s_sys
 
 
@@ -227,11 +238,15 @@ def holevo_branching(bs: BranchingState, frag: Fragment) -> float:
     oracle below for single-site fragments).
     """
     sites = _fragment_sites(frag, bs.n_env)
-    mask = np.isin(np.arange(1, bs.n_env + 1), sites)[None, None]
+    mask = np.isin(np.arange(1, bs.n_env + 1), sites)[None, None, None]
     _, chi, _ = _closed_form_tables(
-        bs.alpha0, bs.beta0, bs.site_coeffs, bs.fields, np.array([bs.time]), mask
+        [abs(bs.alpha0) ** 2 * abs(bs.beta0) ** 2],
+        bs.site_coeffs[None],
+        bs.fields[None],
+        np.array([bs.time]),
+        mask,
     )
-    return float(chi[0, 0])
+    return float(chi[0, 0, 0])
 
 
 def holevo_grid_oracle(psi: PureState, frag: Fragment, resolution: int = 64) -> float:

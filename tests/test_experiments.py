@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 import qdarwin as q
 from qdarwin import experiments
+from qdarwin.cli import write_sidecar
 from qdarwin.experiments import _fig3_time_grid
 
 
@@ -113,6 +116,60 @@ class TestRunSweep:
                         where = (config.fragment_policy, r, ti, fi)
                         assert abs(res.chi_values[r, ti, fi] - chi) < 1e-12, where
                         assert abs(res.i_values[r, ti, fi] - info) < 1e-9, where
+
+    @pytest.mark.parametrize("engine", ["auto", "dense"])
+    @pytest.mark.parametrize("policy,subsets", [("prefix", 1), ("random", 3)])
+    @pytest.mark.parametrize("model", ["CPDI", "DPDI"])
+    def test_chunking_does_not_change_results(self, monkeypatch, model, policy, subsets, engine):
+        calls = Counter()
+        kernel = experiments._closed_form_tables
+
+        def counting(*args):
+            calls["kernel"] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(experiments, "_closed_form_tables", counting)
+        config = small_config(
+            model=model, realizations=7, keep_realizations=True, engine=engine,
+            fragment_policy=policy, subsets_per_realization=subsets,
+        )
+        cell_bytes = 16 * subsets * len(config.time_grid) * len(config.fragment_sizes)
+        runs = []
+        # chunks of 1, of 3 (the last one holding 1), and one chunk of all 7
+        for budget, kernel_calls in ((1, 7), (3 * cell_bytes, 3), (1 << 40, 1)):
+            calls.clear()
+            monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+            runs.append(q.run_sweep(config))
+            assert calls["kernel"] == kernel_calls
+        fields = (
+            "i_values", "chi_values", "discord_values", "ratio_values", "s_values",
+            "smax_values", "i_mean", "i_stderr", "chi_mean", "chi_stderr", "discord_mean",
+            "discord_stderr", "s_mean", "s_stderr", "ratio_mean", "ratio_stderr",
+        )
+        for res in runs[1:]:
+            for name in fields:
+                np.testing.assert_array_equal(getattr(res, name), getattr(runs[0], name), name)
+        # realization r depends on mix_seed(master_seed, r) alone
+        head = q.run_sweep(dataclasses.replace(config, realizations=3))
+        for res in runs:
+            for name in fields[:6]:
+                np.testing.assert_array_equal(getattr(head, name), getattr(res, name)[:3], name)
+
+    def test_vanishing_smax_is_counted(self, monkeypatch, tmp_path):
+        draw = experiments.random_product_state
+
+        def system_in_zero(n_qubits, rng):
+            coeffs = draw(n_qubits, rng).coeffs.copy()
+            coeffs[0] = (1.0, 0.0)
+            return q.ProductCoeffs(coeffs)
+
+        monkeypatch.setattr(experiments, "random_product_state", system_in_zero)
+        res = q.run_sweep(small_config(realizations=4))
+        assert res.smax_zeroed == 4
+        assert np.all(res.ratio_mean == 0.0)
+        write_sidecar(res, tmp_path / "meta.json")
+        assert json.loads((tmp_path / "meta.json").read_text())["smax_zeroed"] == 4
+        assert q.run_sweep(small_config(realizations=4, normalize="none")).smax_zeroed == 0
 
     def test_dense_and_branching_engines_agree(self):
         base = small_config(realizations=4, keep_realizations=True)
@@ -231,9 +288,14 @@ class TestCallStructure:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            experiments, "subsystem_entropy", counting("entropy", experiments.subsystem_entropy)
-        )
+        for key, name in (
+            ("entropy", "subsystem_entropy"),
+            ("sample", "sample_instance"),
+            ("product_state", "random_product_state"),
+            ("dense_state", "dense_product_state"),
+            ("smax", "binary_entropy"),
+        ):
+            monkeypatch.setattr(experiments, name, counting(key, getattr(experiments, name)))
         for cls in (q.DensePropagator, q.DiagonalPropagator):
             monkeypatch.setattr(cls, "__init__", counting("build", cls.__init__))
             monkeypatch.setattr(cls, "evolve", counting("evolve", cls.evolve))
@@ -250,13 +312,22 @@ class TestCallStructure:
         result = q.run_sweep(config)
         assert result.engine == engine
         r, t, f = 2, len(config.time_grid), len(config.fragment_sizes)
-        assert counts == {"entropy": r * t * (1 + 2 * f * subsets), "evolve": r * t, "build": r}
+        assert counts.pop("smax") >= 1
+        assert counts == {
+            "entropy": r * t * (1 + 2 * f * subsets), "evolve": r * t, "build": r,
+            "sample": r, "product_state": r, "dense_state": r,
+        }
 
     def test_branching_engine_makes_no_state_calls(self, monkeypatch):
+        # one draw of each per realization and S_max at least once; no builds,
+        # evolves, dense states or partial-trace entropies
         counts = self._count(monkeypatch)
-        result = q.run_sweep(small_config(fragment_policy="random", subsets_per_realization=3))
+        config = small_config(fragment_policy="random", subsets_per_realization=3)
+        result = q.run_sweep(config)
         assert result.engine == "branching"
-        assert counts == {}
+        assert counts.pop("smax") >= 1
+        r = config.realizations
+        assert counts == {"sample": r, "product_state": r}
 
 
 class TestFig2:

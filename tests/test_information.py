@@ -211,38 +211,46 @@ class TestClosedFormKernel:
     @settings(max_examples=40)
     @given(data=st.data(), n_env=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
     def test_mask_table_bounds_and_dense_oracle(self, data, n_env, seed):
+        n_r = data.draw(st.integers(1, 3), label="stacked realizations")
         n_f = data.draw(st.integers(1, 4), label="fragment columns")
         n_s = data.draw(st.integers(1, 3), label="subsets per column")
-        masks = data.draw(hnp.arrays(bool, (n_f, n_s, n_env)), label="masks")
+        masks = data.draw(hnp.arrays(bool, (n_r, n_f, n_s, n_env)), label="masks")
         rng = np.random.default_rng(seed)
-        init = q.random_product_state(n_env + 1, rng)
-        fields = rng.uniform(-1.0, 1.0, n_env)
+        inits = [q.random_product_state(n_env + 1, rng) for _ in range(n_r)]
+        fields = rng.uniform(-1.0, 1.0, (n_r, n_env))
         times = np.sort(rng.uniform(0.0, 4.0, 3))
-        (alpha0, beta0), site_coeffs = init.coeffs[0], init.coeffs[1:]
-        i_vals, chi_vals, s_sys = _closed_form_tables(
-            alpha0, beta0, site_coeffs, fields, times, masks
-        )
-        assert i_vals.shape == chi_vals.shape == (3, n_f)
-        assert np.all(chi_vals >= -1e-12)
-        assert np.all(chi_vals <= i_vals + 1e-12)  # discord I - chi >= -1e-12
-        assert np.all(i_vals <= 2.0 * s_sys[:, None] + 1e-12)
-        weight = abs(alpha0) ** 2 * abs(beta0) ** 2
-        for ti, t in enumerate(times):
-            bs = q.evolve_branching(init, fields, t)
-            psi = q.branching_to_dense(bs)
-            assert abs(s_sys[ti] - q.subsystem_entropy(psi, [0])) < 1e-9
-            env_sq = abs(bs.overlap()) ** 2
-            for fi, rows in enumerate(masks):
-                subsets = [np.flatnonzero(row) + 1 for row in rows]
-                info = np.mean([q.mutual_information(psi, sites) for sites in subsets])
-                assert abs(i_vals[ti, fi] - info) < 1e-9
-                # Holevo one subset at a time, from the scalar overlaps
-                radicands = [
-                    max(0.0, 1.0 - 4.0 * weight * (abs(bs.overlap(sites)) ** 2 - env_sq))
-                    for sites in subsets
-                ]
-                cond = np.mean([q.binary_entropy(0.5 + 0.5 * np.sqrt(r)) for r in radicands])
-                assert abs(chi_vals[ti, fi] - (s_sys[ti] - cond)) < 1e-12
+        weights = np.array([abs(a) ** 2 * abs(b) ** 2 for (a, b) in (i.coeffs[0] for i in inits)])
+        site_coeffs = np.array([init.coeffs[1:] for init in inits])
+        i_all, chi_all, s_all = _closed_form_tables(weights, site_coeffs, fields, times, masks)
+        assert i_all.shape == chi_all.shape == (n_r, 3, n_f)
+        assert s_all.shape == (n_r, 3)
+        for r, init in enumerate(inits):
+            # each realization's slice is the R = 1 call, bit for bit
+            alone = _closed_form_tables(
+                weights[r:r + 1], site_coeffs[r:r + 1], fields[r:r + 1], times, masks[r:r + 1]
+            )
+            for stacked, single in zip((i_all, chi_all, s_all), alone):
+                np.testing.assert_array_equal(stacked[r], single[0])
+            i_vals, chi_vals, s_sys = i_all[r], chi_all[r], s_all[r]
+            assert np.all(chi_vals >= -1e-12)
+            assert np.all(chi_vals <= i_vals + 1e-12)  # discord I - chi >= -1e-12
+            assert np.all(i_vals <= 2.0 * s_sys[:, None] + 1e-12)
+            for ti, t in enumerate(times):
+                bs = q.evolve_branching(init, fields[r], t)
+                psi = q.branching_to_dense(bs)
+                assert abs(s_sys[ti] - q.subsystem_entropy(psi, [0])) < 1e-9
+                env_sq = abs(bs.overlap()) ** 2
+                for fi, rows in enumerate(masks[r]):
+                    subsets = [np.flatnonzero(row) + 1 for row in rows]
+                    info = np.mean([q.mutual_information(psi, sites) for sites in subsets])
+                    assert abs(i_vals[ti, fi] - info) < 1e-9
+                    # Holevo one subset at a time, from the scalar overlaps
+                    radicands = [
+                        max(0.0, 1.0 - 4.0 * weights[r] * (abs(bs.overlap(sites)) ** 2 - env_sq))
+                        for sites in subsets
+                    ]
+                    cond = np.mean([q.binary_entropy(0.5 + 0.5 * np.sqrt(x)) for x in radicands])
+                    assert abs(chi_vals[ti, fi] - (s_sys[ti] - cond)) < 1e-12
 
 
 class TestHolevoGridOracle:
@@ -307,6 +315,22 @@ class TestPurityComplementarity:
                 s_f = q.von_neumann_entropy(q.reduced_density(psi, frag))
                 s_rest = q.von_neumann_entropy(q.reduced_density(psi, rest))
                 assert s_f == pytest.approx(s_rest, abs=1e-9)
+
+    @settings(max_examples=40)
+    @given(data=st.data(), n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_fragment_entropy_equals_complement_entropy(self, data, n, seed):
+        # a global pure state gives both sides of any cut the same entropy, so
+        # S_F = S(system + the fragment's complement) and S_SF = S(complement)
+        size = data.draw(st.integers(0, n - 1), label="fragment size")
+        env = data.draw(st.permutations(range(1, n)), label="environment order")
+        frag, rest = list(env[:size]), list(env[size:])
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi = q.PureState(n, amps / np.linalg.norm(amps))
+        s_f = q.subsystem_entropy(psi, frag)
+        s_sf = q.subsystem_entropy(psi, [0, *frag])
+        assert abs(s_f - q.subsystem_entropy(psi, [0, *rest])) < 1e-12
+        assert abs(s_sf - q.subsystem_entropy(psi, rest)) < 1e-12
 
 
 class TestWeakDecoherenceRegime:
