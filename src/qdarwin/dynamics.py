@@ -25,13 +25,19 @@ DIAGONAL_MAX_QUBITS = 26  # memory guardrail for the phase-vector engine
 
 @dataclass(frozen=True)
 class PureState:
-    """Complex amplitude vector over the computational basis (qubit 0 = LSB)."""
+    """Complex amplitude vector over the computational basis (qubit 0 = LSB).
+
+    A complex128 ndarray is held as given, without a copy: the state shares
+    its buffer with the caller, who must not write to it afterwards. Any
+    other input (a list, a real or other-dtype array) is converted to a new
+    complex128 array.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(
                 f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
@@ -304,9 +310,12 @@ class DiagonalPropagator:
     def evolve(self, state: PureState, t: float) -> PureState:
         if state.n_qubits != self.n_qubits:
             raise ValueError("state size does not match the propagator")
-        return PureState(
-            self.n_qubits, state.amplitudes * np.exp(-1j * float(t) * self._energies)
-        )
+        # one fresh array: the phases, then the evolved amplitudes in place
+        # (amps * phase in that operand order, which fixes the rounding)
+        phase = np.multiply(-1j * float(t), self._energies)
+        np.exp(phase, out=phase)
+        np.multiply(state.amplitudes, phase, out=phase)
+        return PureState(self.n_qubits, phase)
 
 
 def evolve_diagonal(instance: ModelInstance, psi0: PureState, t: float) -> PureState:

@@ -241,6 +241,7 @@ def _state_tables(propagator, init, times, masks):
                 s_sf = subsystem_entropy(psi, joint)
                 acc += s_s + s_f - s_sf
             i_vals[ti, fi] = acc / len(subsets)
+        del psi  # release this state before the next evolve allocates one
     return i_vals, s_sys
 
 

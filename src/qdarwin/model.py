@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -367,6 +368,14 @@ class ModelSpec:
 # Sampled instance
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _lower_triangle(n: int) -> tuple:
+    """Read-only (row, column) indices of the i >= j entries of an n x n array."""
+    rows, cols = np.tril_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class ModelInstance:
     """Numeric realization of a spec: coupling tensor and per-site fields.
@@ -390,8 +399,7 @@ class ModelInstance:
             raise ValueError(f"fields must have shape {(n, 3)}, got {fl.shape}")
         if not (np.isfinite(jt).all() and np.isfinite(fl).all()):
             raise ValueError("coefficients must be finite")
-        lower = np.tril(np.ones((n, n), dtype=bool))
-        if np.any(jt[lower] != 0.0):
+        if np.any(jt[_lower_triangle(n)] != 0.0):
             raise ValueError("j_tensor entries with i >= j must be zero")
         object.__setattr__(self, "j_tensor", jt)
         object.__setattr__(self, "fields", fl)

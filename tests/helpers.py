@@ -72,6 +72,13 @@ def oracle_entropy(rho):
     return float(-np.sum(lam * np.log2(lam)))
 
 
+def random_state(n_qubits, seed):
+    """Haar-like random pure state: normalized complex Gaussian amplitudes."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return q.PureState(n_qubits, amps / np.linalg.norm(amps))
+
+
 def bell_branching():
     """Two balanced sites at B*t = pi/4: the site overlap vanishes and the
     global state is maximally entangled across the system/site cut."""

@@ -331,6 +331,22 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             q.PureState(2, np.array([1.0, 0.0]))
 
+    def test_pure_state_holds_complex_array_without_copy(self):
+        amps = np.array([0.6, 0.8j])
+        assert q.PureState(1, amps).amplitudes is amps
+        with pytest.raises(ValueError, match="normalized"):
+            q.PureState(1, np.array([1.0 + 0j, 1.0]))  # the norm is still checked
+
+    @pytest.mark.parametrize(
+        "amps",
+        [[0.6, 0.8], np.array([0.6, 0.8]), np.array([0.5 + 0.5j, 0.5 - 0.5j], dtype=np.complex64)],
+    )
+    def test_pure_state_converts_other_input(self, amps):
+        psi = q.PureState(1, amps)
+        assert psi.amplitudes.dtype == np.complex128
+        assert psi.amplitudes is not amps
+        np.testing.assert_array_equal(psi.amplitudes, np.asarray(amps, dtype=complex))
+
     def test_product_coeffs_norm_enforced(self):
         with pytest.raises(ValueError):
             q.ProductCoeffs(np.array([[1.0, 0.1]]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import qdarwin as q
+from qdarwin import information
 from qdarwin.information import NumericalError, _closed_form_tables, _cut
 
 from helpers import (
@@ -14,6 +15,7 @@ from helpers import (
     oracle_entropy,
     oracle_reduced_density,
     random_branching,
+    random_state,
     small_overlap_branching,
 )
 
@@ -74,6 +76,55 @@ class TestCutPlan:
                     q.subsystem_entropy(psi, bad)
             q.subsystem_entropy(psi, [0, 1])  # a valid cut of the same n is now cached
         assert _cut.cache_info().maxsize is not None
+
+
+@pytest.fixture
+def gram_block_bytes(monkeypatch):
+    """Set the Gram block budget; cut plans made under it are dropped after."""
+
+    def set_budget(nbytes):
+        monkeypatch.setattr(information, "_GRAM_BLOCK_BYTES", nbytes)
+        _cut.cache_clear()
+
+    yield set_budget
+    monkeypatch.undo()
+    _cut.cache_clear()
+
+
+class TestBlockedGram:
+    def test_matches_literal_route_on_a_multi_block_state(self):
+        psi = random_state(17, 17)  # 2 MiB: more than one 1 MiB block
+        keeps = {
+            "prefix": (1, 2, 3, 4),
+            "joint": (0, 1, 2, 3, 4),
+            "scattered": (2, 5, 11, 16),
+            "larger than half": (0, 1, 3, 5, 7, 9, 11, 13, 15),
+        }
+        for label, keep in keeps.items():
+            plan = _cut(17, keep)
+            assert len(plan.blocks) >= 2, label
+            assert plan.on_keep == (len(keep) <= 8), label
+            literal = q.von_neumann_entropy(q.reduced_density(psi, keep))
+            assert abs(q.subsystem_entropy(psi, keep) - literal) < 1e-10, label
+
+    def test_many_blocks_agree_with_one(self, gram_block_bytes):
+        psi = random_state(9, 8)  # N = 8: 8 KiB, one block by default
+        keeps = [(), (0,), (3,), (1, 2, 3), (0, 1, 2, 3), (2, 5, 7, 8), (0, 2, 5, 7, 8),
+                 tuple(range(1, 9)), tuple(range(9))]
+        one = [q.subsystem_entropy(psi, keep) for keep in keeps]
+        assert all(len(_cut(9, keep).blocks) == 1 for keep in keeps)
+        gram_block_bytes(256)  # 16 amplitudes per block
+        many = [q.subsystem_entropy(psi, keep) for keep in keeps]
+        assert all(len(_cut(9, keep).blocks) >= 16 for keep in keeps)
+        np.testing.assert_allclose(many, one, rtol=0, atol=1e-12)
+
+    def test_plan_holds_side_and_blocks(self):
+        plan = _cut(19, (0, 1, 2))  # an 8 MiB register
+        assert plan.on_keep and plan.shape == (8, 1 << 16)
+        assert len(plan.blocks) == 8 and plan.block_shape == (8, 1 << 13)
+        plan = _cut(19, tuple(range(12)))
+        assert not plan.on_keep and plan.shape == (1 << 7, 1 << 12)
+        assert len(plan.blocks) == 8 and plan.block_shape == (1 << 7, 1 << 9)
 
 
 class TestEntropy:

@@ -1,0 +1,79 @@
+"""Transient memory of the state path on an 18-qubit (4 MiB) register,
+measured with tracemalloc, which sees numpy's data buffers."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import qdarwin as q
+from qdarwin import information
+
+from helpers import random_generic_instance, random_state
+
+N_QUBITS = 18
+STATE_BYTES = 16 << N_QUBITS
+SLACK = 64 << 10  # Python objects and ufunc buffers
+
+
+@pytest.fixture(scope="module")
+def psi():
+    return random_state(N_QUBITS, 18)
+
+
+@pytest.fixture(scope="module")
+def diagonal():
+    jt = np.zeros((N_QUBITS, N_QUBITS, 3, 3))
+    jt[0, 1:, 2, 2] = np.linspace(-1.0, 1.0, N_QUBITS - 1)
+    jt[1, 2:, 2, 2] = 0.3
+    fields = np.zeros((N_QUBITS, 3))
+    fields[:, 2] = 0.1
+    return q.DiagonalPropagator(q.ModelInstance(n_env=N_QUBITS - 1, j_tensor=jt, fields=fields))
+
+
+def peak_bytes(func, *args):
+    """Peak traced allocation of one call, after an untraced call has filled
+    the caches (the cut plan)."""
+    func(*args)
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [
+        tuple(range(1, 10)),  # a 9-site fragment: the Gram alone is one state
+        (1, 3, 5, 7, 9, 11, 13, 15, 17),  # scattered fragment
+        tuple(range(1, 9)),  # an 8-site fragment
+        tuple(range(10)),  # system and a 9-site fragment
+    ],
+)
+def test_entropy_allocates_gram_and_bounded_blocks(psi, keep):
+    d = information._cut(N_QUBITS, keep).shape[0]  # the smaller side of the cut
+    block = information._GRAM_BLOCK_BYTES
+    # a block, its conjugate and one row panel of their product; smaller than
+    # the state, so no full partition or conjugate copy fits under the bound
+    assert 3 * block + SLACK < STATE_BYTES
+    assert peak_bytes(q.subsystem_entropy, psi, keep) <= 16 * d * d + 3 * block + SLACK
+
+
+def test_diagonal_evolve_allocates_one_state(psi, diagonal):
+    energies_bytes = 8 << N_QUBITS
+    assert peak_bytes(diagonal.evolve, psi, 1.3) <= STATE_BYTES + energies_bytes
+
+
+def test_evolve_leaves_its_input_alone(psi, diagonal):
+    before = psi.amplitudes.copy()
+    out = diagonal.evolve(psi, 2.0)
+    assert out.amplitudes is not psi.amplitudes
+    np.testing.assert_array_equal(psi.amplitudes, before)
+
+    small = q.dense_product_state(q.random_product_state(5, 3))
+    before = small.amplitudes.copy()
+    instance = random_generic_instance(np.random.default_rng(5), 4)
+    q.DensePropagator(instance).evolve(small, 2.0)
+    np.testing.assert_array_equal(small.amplitudes, before)
