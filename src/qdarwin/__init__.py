@@ -53,15 +53,12 @@ from .information import (
 )
 from .model import (
     Classification,
-    Constant,
     ContinuousUniform,
     DiscreteUniform,
     ModelInstance,
     ModelSpec,
     PointMass,
-    Random,
     Vec3,
-    Zero,
     build_model,
     classify,
     hamiltonian_matrix,

@@ -128,21 +128,25 @@ def max_system_entropy(alpha0_sq) -> float:
     return binary_entropy(_check_unit_interval("alpha0_sq", float(alpha0_sq)))
 
 
+def _first_order(alpha0_sq, x) -> float:
+    """S_max - slope/2 * x: the expansion shared by the weak-decoherence and
+    long-time forms, with x the signed sum of squared decoherence factors."""
+    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * x
+
+
 def weak_decoherence_mutual_info(gamma_sq, gamma_f_sq, gamma_fbar_sq, alpha0_sq) -> float:
     """Mutual information for small decoherence factors:
     S_max - slope/2 * (|Gamma|^2 + |Gamma_F|^2 - |Gamma_Fbar|^2)."""
     g = float(_check_unit_interval("gamma_sq", gamma_sq))
     gf = float(_check_unit_interval("gamma_f_sq", gamma_f_sq))
     gfb = float(_check_unit_interval("gamma_fbar_sq", gamma_fbar_sq))
-    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * (
-        g + gf - gfb
-    )
+    return _first_order(alpha0_sq, g + gf - gfb)
 
 
 def weak_decoherence_holevo(gamma_f_sq, alpha0_sq) -> float:
     """Holevo quantity for small decoherence factors: S_max - slope/2 * |Gamma_F|^2."""
     gf = float(_check_unit_interval("gamma_f_sq", gamma_f_sq))
-    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * gf
+    return _first_order(alpha0_sq, gf)
 
 
 def _check_fragment_size(n, n_env=None):
@@ -173,8 +177,7 @@ def asymptotic_mutual_info(n, n_env, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
     n = _check_fragment_size(n, n_env)
     n_env = int(n_env)
     mf = _check_mean_floor(mean_floor)
-    bracket = mf ** n_env + mf ** n - mf ** (n_env - n)
-    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * bracket
+    return _first_order(alpha0_sq, mf ** n_env + mf ** n - mf ** (n_env - n))
 
 
 def asymptotic_holevo(n, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
@@ -187,4 +190,4 @@ def asymptotic_holevo(n, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
     characteristic function."""
     n = _check_fragment_size(n)
     mf = _check_mean_floor(mean_floor)
-    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * mf ** n
+    return _first_order(alpha0_sq, mf ** n)

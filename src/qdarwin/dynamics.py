@@ -52,6 +52,13 @@ class PureState:
         return 1 << self.n_qubits
 
 
+def _check_site_norms(coeffs: np.ndarray) -> None:
+    """Raise unless every (a, b) row satisfies |a|^2 + |b|^2 = 1 within 1e-12."""
+    norms = np.abs(coeffs[:, 0]) ** 2 + np.abs(coeffs[:, 1]) ** 2
+    if norms.size and np.max(np.abs(norms - 1.0)) > 1e-12:
+        raise ValueError("every site must satisfy |a|^2 + |b|^2 = 1 within 1e-12")
+
+
 @dataclass(frozen=True)
 class ProductCoeffs:
     """Per-site (amplitude on |0>, amplitude on |1>) pairs of a product state."""
@@ -62,9 +69,7 @@ class ProductCoeffs:
         coeffs = np.array(self.coeffs, dtype=complex)
         if coeffs.ndim != 2 or coeffs.shape[1] != 2 or coeffs.shape[0] < 1:
             raise ValueError(f"expected shape (n_sites, 2), got {coeffs.shape}")
-        norms = np.abs(coeffs[:, 0]) ** 2 + np.abs(coeffs[:, 1]) ** 2
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
-            raise ValueError("every site must satisfy |a|^2 + |b|^2 = 1 within 1e-12")
+        _check_site_norms(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -103,10 +108,7 @@ class BranchingState:
         fields = np.array(self.fields, dtype=float)
         if fields.shape != (coeffs.shape[0],):
             raise ValueError("fields must hold one coupling per environment site")
-        if coeffs.shape[0]:
-            norms = np.abs(coeffs[:, 0]) ** 2 + np.abs(coeffs[:, 1]) ** 2
-            if np.max(np.abs(norms - 1.0)) > 1e-12:
-                raise ValueError("every site must satisfy |a|^2 + |b|^2 = 1 within 1e-12")
+        _check_site_norms(coeffs)
         t = float(self.time)
         if not np.isfinite(t) or t < 0:
             raise ValueError(f"time must be finite and >= 0, got {t}")

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class Vec3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
     def is_zero(self) -> bool:
         return self.x == 0.0 and self.y == 0.0 and self.z == 0.0
 
@@ -67,7 +64,7 @@ class Vec3:
 
 
 # ---------------------------------------------------------------------------
-# Coupling distributions and coefficient sources
+# Coupling laws
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -80,9 +77,6 @@ class ContinuousUniform:
         _require_finite("half_width", self.half_width)
         if self.half_width <= 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
-
-    def is_continuous(self) -> bool:
-        return True
 
     def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(-self.half_width, self.half_width))
@@ -103,9 +97,6 @@ class DiscreteUniform:
         _require_finite("support value", *support)
         object.__setattr__(self, "support", support)
 
-    def is_continuous(self) -> bool:
-        return False
-
     def sample(self, rng: np.random.Generator) -> float:
         return self.support[int(rng.integers(len(self.support)))]
 
@@ -119,48 +110,8 @@ class PointMass:
     def __post_init__(self):
         _require_finite("value", self.value)
 
-    def is_continuous(self) -> bool:
-        return False
-
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
-
-
-CouplingDistribution = Union[ContinuousUniform, DiscreteUniform, PointMass]
-
-
-@dataclass(frozen=True)
-class Zero:
-    """Coefficient fixed at zero; consumes no random draws."""
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class Constant:
-    """Deterministic coefficient; consumes no random draws."""
-
-    value: float
-
-    def __post_init__(self):
-        _require_finite("value", self.value)
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Random:
-    """Coefficient drawn once from a coupling distribution."""
-
-    dist: CouplingDistribution
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.dist.sample(rng)
-
-
-CoefficientSource = Union[Zero, Constant, Random]
 
 
 # Keys of the model-spec JSON schema, and the parameter key of each source type.
@@ -175,17 +126,11 @@ def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
             raise ValueError(f"unknown key {key!r} in {where}; allowed: {sorted(allowed)}")
 
 
-def _canonical_source(src):
-    """Normalize sources: drop zeros, turn point masses into constants."""
-    if isinstance(src, Random) and isinstance(src.dist, PointMass):
-        src = Constant(src.dist.value)
-    if isinstance(src, Zero):
-        return None
-    if isinstance(src, Constant) and src.value == 0.0:
-        return None
-    if not isinstance(src, (Constant, Random)):
-        raise TypeError(f"not a coefficient source: {src!r}")
-    return src
+def _is_nonzero_law(law) -> bool:
+    """False for a point mass at zero; raise TypeError for a value that is not a law."""
+    if not isinstance(law, (ContinuousUniform, DiscreteUniform, PointMass)):
+        raise TypeError(f"not a coupling law: {law!r}")
+    return law != PointMass(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +141,15 @@ def _canonical_source(src):
 class ModelSpec:
     """Structural description of a two-body qubit Hamiltonian before sampling.
 
-    ``sys_env`` maps ``(alpha, site, beta)`` to the source of the coupling
+    ``sys_env`` maps ``(alpha, site, beta)`` to the law of the coupling
     between ``sigma_alpha`` on the system and ``sigma_beta`` on the given
     environment site. ``intra_env`` maps ``(i, j, alpha, beta)`` with
     ``1 <= i < j <= n_env`` to couplings inside the environment. ``env_fields``
-    maps ``(site, component)`` to local field sources. Zero-valued sources are
-    dropped at construction; absent keys mean a vanishing coefficient. ``b0``
-    is the (deterministic) system field.
+    maps ``(site, component)`` to local field laws. Every law is a
+    ``ContinuousUniform``, ``DiscreteUniform`` or ``PointMass``; point masses
+    at zero are dropped at construction, and absent keys mean a vanishing
+    coefficient. Each mapping is stored in the draw order of
+    ``sample_instance``. ``b0`` is the (deterministic) system field.
     """
 
     label: str
@@ -217,50 +164,47 @@ class ModelSpec:
             raise ValueError(f"n_env must be >= 1, got {self.n_env}")
 
         sys_env = {}
-        for key, src in dict(self.sys_env).items():
+        for key, law in dict(self.sys_env).items():
             alpha, site, beta = key
             if alpha not in AXES or beta not in AXES:
                 raise ValueError(f"bad axes in sys_env key {key!r}")
             if not 1 <= site <= self.n_env:
                 raise ValueError(f"sys_env site {site} out of range 1..{self.n_env}")
-            src = _canonical_source(src)
-            if src is not None:
-                sys_env[(alpha, int(site), beta)] = src
+            if _is_nonzero_law(law):
+                sys_env[(alpha, int(site), beta)] = law
 
         intra_env = {}
-        for key, src in dict(self.intra_env).items():
+        for key, law in dict(self.intra_env).items():
             i, j, alpha, beta = key
             if alpha not in AXES or beta not in AXES:
                 raise ValueError(f"bad axes in intra_env key {key!r}")
             if not (1 <= i < j <= self.n_env):
                 raise ValueError(f"intra_env sites {(i, j)} must satisfy 1 <= i < j <= {self.n_env}")
-            src = _canonical_source(src)
-            if src is not None:
-                intra_env[(int(i), int(j), alpha, beta)] = src
+            if _is_nonzero_law(law):
+                intra_env[(int(i), int(j), alpha, beta)] = law
 
         env_fields = {}
-        for key, src in dict(self.env_fields).items():
+        for key, law in dict(self.env_fields).items():
             site, comp = key
             if comp not in AXES:
                 raise ValueError(f"bad component in env_fields key {key!r}")
             if not 1 <= site <= self.n_env:
                 raise ValueError(f"env_fields site {site} out of range 1..{self.n_env}")
-            src = _canonical_source(src)
-            if src is not None:
-                env_fields[(int(site), comp)] = src
+            if _is_nonzero_law(law):
+                env_fields[(int(site), comp)] = law
 
-        object.__setattr__(self, "sys_env", sys_env)
-        object.__setattr__(self, "intra_env", intra_env)
-        object.__setattr__(self, "env_fields", env_fields)
+        object.__setattr__(self, "sys_env", dict(sorted(sys_env.items())))
+        object.__setattr__(self, "intra_env", dict(sorted(intra_env.items())))
+        object.__setattr__(self, "env_fields", dict(sorted(env_fields.items())))
 
     # -- structural queries used for classification and engine dispatch ----
 
     def continuous_support(self) -> bool:
         """True when every system-environment coupling is drawn from a continuous law."""
-        sources = list(self.sys_env.values())
-        if not sources:
+        laws = list(self.sys_env.values())
+        if not laws:
             return False
-        return all(isinstance(s, Random) and s.dist.is_continuous() for s in sources)
+        return all(isinstance(law, ContinuousUniform) for law in laws)
 
     def is_z_only(self) -> bool:
         """True when the Hamiltonian contains only sigma_z factors (diagonal)."""
@@ -290,29 +234,28 @@ class ModelSpec:
     # -- JSON schema (documented in the README) ----------------------------
 
     def to_json_dict(self) -> dict:
-        def enc(src):
-            if isinstance(src, Constant):
-                return {"type": "const", "value": src.value}
-            dist = src.dist
-            if isinstance(dist, ContinuousUniform):
-                return {"type": "uniform", "a": dist.half_width}
-            return {"type": "discrete", "support": list(dist.support)}
+        def enc(law):
+            if isinstance(law, PointMass):
+                return {"type": "const", "value": law.value}
+            if isinstance(law, ContinuousUniform):
+                return {"type": "uniform", "a": law.half_width}
+            return {"type": "discrete", "support": list(law.support)}
 
         return {
             "label": self.label,
             "n_env": self.n_env,
             "b0": [self.b0.x, self.b0.y, self.b0.z],
             "sys_env": [
-                {"axes": a + b, "site": j, "source": enc(src)}
-                for (a, j, b), src in sorted(self.sys_env.items())
+                {"axes": a + b, "site": j, "source": enc(law)}
+                for (a, j, b), law in self.sys_env.items()
             ],
             "intra_env": [
-                {"axes": a + b, "sites": [i, j], "source": enc(src)}
-                for (i, j, a, b), src in sorted(self.intra_env.items())
+                {"axes": a + b, "sites": [i, j], "source": enc(law)}
+                for (i, j, a, b), law in self.intra_env.items()
             ],
             "env_fields": [
-                {"site": i, "component": c, "source": enc(src)}
-                for (i, c), src in sorted(self.env_fields.items())
+                {"site": i, "component": c, "source": enc(law)}
+                for (i, c), law in self.env_fields.items()
             ],
         }
 
@@ -324,10 +267,10 @@ class ModelSpec:
                 raise ValueError(f"unknown source type {kind!r}")
             _reject_unknown_keys(obj, ("type", _SOURCE_KEYS[kind]), f"{kind} source")
             if kind == "const":
-                return Constant(float(obj["value"]))
+                return PointMass(float(obj["value"]))
             if kind == "uniform":
-                return Random(ContinuousUniform(float(obj["a"])))
-            return Random(DiscreteUniform(tuple(obj["support"])))
+                return ContinuousUniform(float(obj["a"]))
+            return DiscreteUniform(tuple(obj["support"]))
 
         def entries(name, keys):
             for entry in doc.get(name, []):
@@ -480,15 +423,15 @@ def build_model(
         raise ValueError(f"scramble_half_width must be >= 0, got {scramble_half_width}")
     support = tuple(float(v) for v in support)
     if kind == "DPDI":
-        coupling = Random(DiscreteUniform(support))  # validates support
+        coupling = DiscreteUniform(support)  # validates support
     else:
-        coupling = Random(ContinuousUniform(float(half_width)))
+        coupling = ContinuousUniform(float(half_width))
 
     sys_env = {("z", j, "z"): coupling for j in range(1, n_env + 1)}
     b0 = Vec3(0.0, 1.0, 0.0) if kind == "CODI" else Vec3.zero()
     intra_env = {}
     if kind == "CPDI_S" and scramble_half_width > 0:
-        scramble = Random(ContinuousUniform(float(scramble_half_width)))
+        scramble = ContinuousUniform(float(scramble_half_width))
         intra_env = {
             (i, j, "z", "z"): scramble
             for i in range(1, n_env + 1)
@@ -516,20 +459,21 @@ def sample_instance(spec: ModelSpec, seed) -> ModelInstance:
     Draw order is fixed: system-environment entries in lexicographic
     (axis, site, axis) order with x < y < z, then intra-environment entries in
     lexicographic (i, j, axis, axis) order, then environment fields by site
-    and component. Zero and constant sources consume no generator state.
-    ``seed`` may be an integer or an already-initialized generator.
+    and component; the spec stores its laws in this order. Point-mass laws
+    consume no generator state. ``seed`` may be an integer or an
+    already-initialized generator.
     """
     rng = _as_rng(seed)
     n = spec.n_env
     jt = np.zeros((n + 1, n + 1, 3, 3))
-    for (alpha, j, beta), src in sorted(spec.sys_env.items()):
-        jt[0, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = src.draw(rng)
-    for (i, j, alpha, beta), src in sorted(spec.intra_env.items()):
-        jt[i, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = src.draw(rng)
+    for (alpha, j, beta), law in spec.sys_env.items():
+        jt[0, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = law.sample(rng)
+    for (i, j, alpha, beta), law in spec.intra_env.items():
+        jt[i, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = law.sample(rng)
     fields = np.zeros((n + 1, 3))
     fields[0] = spec.b0.as_array()
-    for (site, comp), src in sorted(spec.env_fields.items()):
-        fields[site, _AXIS_INDEX[comp]] = src.draw(rng)
+    for (site, comp), law in spec.env_fields.items():
+        fields[site, _AXIS_INDEX[comp]] = law.sample(rng)
     return ModelInstance(n_env=n, j_tensor=jt, fields=fields)
 
 

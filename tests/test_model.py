@@ -13,8 +13,8 @@ class TestBuildModel:
         assert spec.n_env == 8
         assert spec.b0 == q.Vec3(0.0, 0.0, 0.0)
         assert set(spec.sys_env) == {("z", j, "z") for j in range(1, 9)}
-        for src in spec.sys_env.values():
-            assert src == q.Random(q.ContinuousUniform(1.0))
+        for law in spec.sys_env.values():
+            assert law == q.ContinuousUniform(1.0)
         assert spec.intra_env == {}
         assert spec.env_fields == {}
         assert spec.continuous_support()
@@ -31,12 +31,12 @@ class TestBuildModel:
     def test_cpdis_intra_entries(self):
         spec = q.build_model("CPDI_S", 2)
         assert set(spec.intra_env) == {(1, 2, "z", "z")}
-        assert spec.intra_env[(1, 2, "z", "z")] == q.Random(q.ContinuousUniform(0.03))
+        assert spec.intra_env[(1, 2, "z", "z")] == q.ContinuousUniform(0.03)
         assert spec.is_z_only() and not spec.is_branching_form()
 
     def test_dpdi_support(self):
         spec = q.build_model("DPDI", 4)
-        dist = spec.sys_env[("z", 1, "z")].dist
+        dist = spec.sys_env[("z", 1, "z")]
         assert dist == q.DiscreteUniform((-1.0, -0.5, 0.5, 1.0))
         assert not spec.continuous_support()
 
@@ -65,41 +65,71 @@ class TestBuildModel:
         assert verdict.no_scrambling
 
 
+def _mixed_spec():
+    """A spec whose entries are given out of draw order, with all three laws."""
+    return q.ModelSpec(
+        label="mixed",
+        n_env=3,
+        b0=q.Vec3(0.0, 0.0, 0.3),
+        sys_env={
+            ("z", 3, "z"): q.ContinuousUniform(1.0),
+            ("z", 1, "x"): q.PointMass(0.7),
+            ("x", 2, "z"): q.DiscreteUniform((-1.0, 0.5)),
+        },
+        intra_env={
+            (2, 3, "z", "z"): q.PointMass(-0.2),
+            (1, 3, "x", "y"): q.ContinuousUniform(0.03),
+        },
+        env_fields={(3, "x"): q.PointMass(0.25), (1, "z"): q.ContinuousUniform(0.5)},
+    )
+
+
 class TestSourcesAndSpec:
-    def test_point_mass_random_becomes_constant(self):
-        spec = q.ModelSpec(
-            label="t",
-            n_env=1,
-            b0=q.Vec3.zero(),
-            sys_env={("z", 1, "z"): q.Random(q.PointMass(0.7))},
-            intra_env={},
-            env_fields={},
-        )
-        assert spec.sys_env[("z", 1, "z")] == q.Constant(0.7)
+    def test_spec_values_must_be_laws(self):
+        spec = q.ModelSpec("t", 1, q.Vec3.zero(), {("z", 1, "z"): q.PointMass(0.7)}, {}, {})
+        assert spec.sys_env[("z", 1, "z")] == q.PointMass(0.7)
+        # a bare number or a JSON source object is not a law
+        for value in (0.5, None, "uniform", {"type": "const", "value": 1.0}):
+            with pytest.raises(TypeError, match="not a coupling law"):
+                q.ModelSpec("t", 1, q.Vec3.zero(), {("z", 1, "z"): value}, {}, {})
+            with pytest.raises(TypeError, match="not a coupling law"):
+                q.ModelSpec("t", 2, q.Vec3.zero(), {}, {(1, 2, "z", "z"): value}, {})
+            with pytest.raises(TypeError, match="not a coupling law"):
+                q.ModelSpec("t", 1, q.Vec3.zero(), {}, {}, {(1, "z"): value})
 
     def test_zero_sources_dropped(self):
-        spec = q.ModelSpec(
-            label="t",
-            n_env=1,
-            b0=q.Vec3.zero(),
-            sys_env={("z", 1, "z"): q.Zero(), ("x", 1, "x"): q.Constant(0.0)},
-            intra_env={},
-            env_fields={},
-        )
-        assert spec.sys_env == {}
+        for zero in (0.0, -0.0, 0):
+            spec = q.ModelSpec(
+                label="t",
+                n_env=2,
+                b0=q.Vec3.zero(),
+                sys_env={("z", 1, "z"): q.PointMass(zero), ("x", 1, "x"): q.PointMass(0.1)},
+                intra_env={(1, 2, "z", "z"): q.PointMass(zero)},
+                env_fields={(2, "x"): q.PointMass(zero), (1, "y"): q.DiscreteUniform((0.0,))},
+            )
+            assert spec.sys_env == {("x", 1, "x"): q.PointMass(0.1)}
+            assert spec.intra_env == {}
+            # a law that can take the value zero still consumes draws, so it stays
+            assert spec.env_fields == {(1, "y"): q.DiscreteUniform((0.0,))}
 
     def test_invalid_indices_rejected(self):
         with pytest.raises(ValueError):
-            q.ModelSpec("t", 1, q.Vec3.zero(), {("z", 2, "z"): q.Constant(1.0)}, {}, {})
+            q.ModelSpec("t", 1, q.Vec3.zero(), {("z", 2, "z"): q.PointMass(1.0)}, {}, {})
         with pytest.raises(ValueError):
-            q.ModelSpec("t", 3, q.Vec3.zero(), {}, {(2, 2, "z", "z"): q.Constant(1.0)}, {})
+            q.ModelSpec("t", 3, q.Vec3.zero(), {}, {(2, 2, "z", "z"): q.PointMass(1.0)}, {})
         with pytest.raises(ValueError):
-            q.ModelSpec("t", 1, q.Vec3.zero(), {}, {}, {(1, "q"): q.Constant(1.0)})
+            q.ModelSpec("t", 1, q.Vec3.zero(), {}, {}, {(1, "q"): q.PointMass(1.0)})
 
-    @pytest.mark.parametrize("kind", q.MODEL_KINDS)
+    @pytest.mark.parametrize("kind", [*q.MODEL_KINDS, "mixed"])
     def test_json_roundtrip(self, kind):
-        spec = q.build_model(kind, 5)
-        assert q.ModelSpec.from_json(spec.to_json()) == spec
+        spec = _mixed_spec() if kind == "mixed" else q.build_model(kind, 5)
+        back = q.ModelSpec.from_json(spec.to_json())
+        assert back == spec
+        assert back.to_json() == spec.to_json()
+        if kind == "mixed":
+            # "const" decodes to the point mass it was encoded from
+            assert back.sys_env[("z", 1, "x")] == q.PointMass(0.7)
+            assert back.env_fields[(3, "x")] == q.PointMass(0.25)
 
     def test_json_schema_encoding(self):
         doc = q.build_model("DPDI", 2).to_json_dict()
@@ -145,9 +175,9 @@ class TestSampleInstance:
     def test_draw_order_follows_readme(self):
         # entries inserted out of order, mixed axes and sources: the draws
         # follow the documented order, not the insertion order
-        uniform = q.Random(q.ContinuousUniform(1.0))
+        uniform = q.ContinuousUniform(1.0)
         support = (-1.0, 0.5, 2.0)
-        discrete = q.Random(q.DiscreteUniform(support))
+        discrete = q.DiscreteUniform(support)
         spec = q.ModelSpec(
             label="mixed",
             n_env=3,
@@ -155,7 +185,7 @@ class TestSampleInstance:
             sys_env={
                 ("z", 1, "x"): uniform,
                 ("x", 3, "y"): discrete,
-                ("y", 1, "y"): q.Constant(0.7),
+                ("y", 1, "y"): q.PointMass(0.7),
                 ("x", 2, "z"): uniform,
                 ("x", 2, "x"): uniform,
             },
@@ -190,6 +220,18 @@ class TestSampleInstance:
         np.testing.assert_array_equal(inst.j_tensor, jt)
         np.testing.assert_array_equal(inst.fields, fields)
         assert gen.random() == rng.random()  # same number of draws
+
+        # the spec holds its entries, and writes them to JSON, in draw order
+        sys_order = [("x", 2, "x"), ("x", 2, "z"), ("x", 3, "y"), ("y", 1, "y"), ("z", 1, "x")]
+        intra_order = [(1, 2, "x", "x"), (1, 3, "y", "z"), (2, 3, "z", "x")]
+        field_order = [(1, "x"), (1, "z"), (3, "x")]
+        assert list(spec.sys_env) == sys_order
+        assert list(spec.intra_env) == intra_order
+        assert list(spec.env_fields) == field_order
+        doc = spec.to_json_dict()
+        assert [(e["axes"][0], e["site"], e["axes"][1]) for e in doc["sys_env"]] == sys_order
+        assert [(*e["sites"], *e["axes"]) for e in doc["intra_env"]] == intra_order
+        assert [(e["site"], e["component"]) for e in doc["env_fields"]] == field_order
 
     def test_instance_validation(self):
         jt = np.zeros((3, 3, 3, 3))
