@@ -77,6 +77,16 @@ class TestCutPlan:
             q.subsystem_entropy(psi, [0, 1])  # a valid cut of the same n is now cached
         assert _cut.cache_info().maxsize is not None
 
+    def test_keeps_of_any_integer_type_share_one_plan(self):
+        psi = random_state(6, 6)
+        _cut.cache_clear()
+        first = q.subsystem_entropy(psi, np.array([0, 2, 3]))  # numpy integers make the plan
+        assert _cut(6, (0, 2, 3)).perm == (2, 3, 5, 0, 1, 4)
+        assert all(type(axis) is int for axis in _cut(6, (0, 2, 3)).perm)
+        for keep in ([0, 2, 3], (0, 2, 3), (np.int64(0), 2, 3), (k for k in (0, 2, 3))):
+            assert q.subsystem_entropy(psi, keep) == first
+        assert _cut.cache_info().currsize == 1
+
 
 @pytest.fixture
 def gram_block_bytes(monkeypatch):
@@ -118,6 +128,21 @@ class TestBlockedGram:
         assert all(len(_cut(9, keep).blocks) >= 16 for keep in keeps)
         np.testing.assert_allclose(many, one, rtol=0, atol=1e-12)
 
+    def test_fills_the_lower_triangle_of_the_full_gram(self, gram_block_bytes):
+        psi = random_state(12, 12)
+        gram_block_bytes(16 << 10)  # 4 blocks, and row panels of 16 rows at d = 64
+        for keep in ((1, 2, 3, 4, 5, 6), (0, 3, 5, 7, 9, 11), (0, 1, 2, 9, 10, 11)):
+            plan = _cut(12, keep)
+            d = plan.block_shape[0]
+            assert len(plan.blocks) == 4 and d == 64
+            tensor = psi.amplitudes.reshape(plan.split).transpose(plan.perm)
+            full = np.zeros((d, d), dtype=complex)
+            for index in plan.blocks:
+                a = tensor[index].reshape(plan.block_shape)
+                full += a @ a.conj().T
+            gram = information._blocked_gram(psi, keep)
+            np.testing.assert_array_equal(np.tril(gram), np.tril(full))
+
     def test_plan_holds_side_and_blocks(self):
         plan = _cut(19, (0, 1, 2))  # an 8 MiB register
         assert plan.on_keep and plan.shape == (8, 1 << 16)
@@ -125,6 +150,85 @@ class TestBlockedGram:
         plan = _cut(19, tuple(range(12)))
         assert not plan.on_keep and plan.shape == (1 << 7, 1 << 12)
         assert len(plan.blocks) == 8 and plan.block_shape == (1 << 7, 1 << 9)
+
+
+def small_cuts(n):
+    """The cuts with at most one qubit on their smaller side: keep nothing,
+    qubit 0, all qubits but 0, and all qubits."""
+    return [(), (0,), tuple(range(1, n)), tuple(range(n))]
+
+
+def smaller_side(n, keep):
+    rest = tuple(q for q in range(n) if q not in keep)
+    return keep if len(keep) <= len(rest) else rest
+
+
+@pytest.fixture
+def refuse_eigvalsh(monkeypatch):
+    """Call to make every later ``np.linalg.eigvalsh`` call fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    return lambda: monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+class TestSmallCuts:
+    """Cuts with a 1- or 2-dimensional smaller side take no eigvalsh."""
+
+    @staticmethod
+    def states():
+        for n in range(1, 10):
+            yield random_state(n, 100 + n)
+            yield q.dense_product_state(q.random_product_state(n, 200 + n))
+        yield random_state(17, 17)  # 2 MiB: the blocked Gram
+
+    def test_match_the_literal_route_without_eigvalsh(self, refuse_eigvalsh):
+        cases = []
+        for psi in self.states():
+            n = psi.n_qubits
+            for keep in small_cuts(n):
+                # by purity the smaller side's entropy is the cut's; its
+                # literal reduced density has no rounding-noise eigenvalues
+                # (up to 2^n - 2 of them on the larger side), and at 17
+                # qubits it is the only side that fits in memory
+                side = smaller_side(n, keep)
+                literal = q.von_neumann_entropy(q.reduced_density(psi, side))
+                cases.append((psi, keep, literal))
+        refuse_eigvalsh()
+        for psi, keep, literal in cases:
+            s = q.subsystem_entropy(psi, keep)
+            assert s >= 0.0, (psi.n_qubits, keep)
+            assert abs(s - literal) < 1e-13, (psi.n_qubits, keep)
+            if len(smaller_side(psi.n_qubits, keep)) == 0:
+                assert s == 0.0
+
+    def test_bell_pair_is_one_bit(self, refuse_eigvalsh):
+        refuse_eigvalsh()
+        bell = q.PureState(2, np.array([1.0, 0.0, 0.0, 1.0]) * 2 ** -0.5)
+        for psi in (bell, q.branching_to_dense(bell_branching())):
+            for keep in ((0,), (1,)):
+                assert abs(q.subsystem_entropy(psi, keep) - 1.0) < 1e-15
+
+    def test_trivial_cuts_of_an_edge_normalized_state_are_pure(self, refuse_eigvalsh):
+        refuse_eigvalsh()
+        # ||psi|| = 1 + 8e-10 passes the state's own 1e-9 check; its trivial
+        # cuts must not compare the spectrum [||psi||^2] with 1 + 1e-9
+        for n in (3, 17):
+            amps = random_state(n, n).amplitudes * (1.0 + 8e-10)
+            psi = q.PureState(n, amps)
+            assert q.subsystem_entropy(psi, ()) == 0.0
+            assert q.subsystem_entropy(psi, tuple(range(n))) == 0.0
+
+    def test_doubled_partition_is_out_of_range(self, monkeypatch):
+        psi = random_state(5, 5)
+        partition = information._partition_matrix
+        monkeypatch.setattr(
+            information, "_partition_matrix", lambda psi, keep: 2.0 * partition(psi, keep)
+        )
+        for keep in ((0,), (0, 1)):  # d = 2, then d = 4
+            with pytest.raises(NumericalError, match="beyond tolerance"):
+                q.subsystem_entropy(psi, keep)
 
 
 class TestEntropy:
