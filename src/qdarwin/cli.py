@@ -20,14 +20,7 @@ from . import __version__
 from .analytics import averaged_gamma_curve
 from .experiments import ExperimentConfig, SweepResult, reproduce_fig2, reproduce_fig3, run_sweep
 from .information import NumericalError
-from .model import (
-    ContinuousUniform,
-    DiscreteUniform,
-    ModelSpec,
-    PointMass,
-    classify,
-    sample_instance,
-)
+from .model import ModelSpec, _law, classify, sample_instance
 
 CSV_HEADER = (
     "model,realizations,time,fragment_size,I_mean,I_stderr,"
@@ -213,14 +206,9 @@ def _parse_dist(spec: str):
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"malformed distribution spec {spec!r}")
-    if kind == "uniform":
-        return ContinuousUniform(float(rest))
     if kind == "discrete":
-        values = tuple(float(v) for v in rest.split(",") if v.strip() != "")
-        return DiscreteUniform(values)
-    if kind == "const":
-        return PointMass(float(rest))
-    raise ValueError(f"unknown distribution kind {kind!r} in {spec!r}")
+        rest = [v for v in rest.split(",") if v.strip() != ""]
+    return _law(kind, rest)
 
 
 def _load_json(path):

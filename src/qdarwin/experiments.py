@@ -4,6 +4,9 @@ averaged on a (time x fragment-size) grid, plus the two figure pipelines.
 Each realization r is reproducible in isolation: its generator is seeded with
 ``mix_seed(master_seed, r)`` and draws, in order, the model instance, the
 initial product state, and (for the random-subset policy) the fragments.
+Each sweep runs the one exact solution its model's structure admits: the
+branching closed form for pure system-environment dephasing, the diagonal
+propagator for other z-only models, and the dense propagator otherwise.
 Realizations are drawn in index order and evaluated in chunks: the state
 engines take each realization's states and entropies in turn, and the
 branching closed form runs once per chunk over the chunk's stacked
@@ -34,6 +37,7 @@ from .dynamics import (
 from .information import _closed_form_tables, subsystem_entropy
 from .model import (
     ModelSpec,
+    _integer,
     _reject_unknown_keys,
     build_model,
     canonical_kind,
@@ -47,12 +51,10 @@ _MASK64 = (1 << 64) - 1
 _CHUNK_BYTES = 64 * 1024
 
 FRAGMENT_POLICIES = ("prefix", "random")
-NORMALIZATIONS = ("smax", "none")
-ENGINES = ("auto", "dense", "diagonal", "branching")
 _OVERRIDE_KEYS = ("half_width", "support", "scramble_half_width")
 _CONFIG_KEYS = (
     "model", "n_env", "time_grid", "fragment_sizes", "realizations", "master_seed",
-    "overrides", "fragment_policy", "subsets_per_realization", "normalize", "engine",
+    "overrides", "fragment_policy", "subsets_per_realization",
 )
 
 
@@ -69,7 +71,10 @@ def mix_seed(master_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to rerun a sweep bit for bit."""
+    """Everything needed to rerun a sweep bit for bit.
+
+    The model alone decides the engine, and every sweep reports
+    ``ratio = I / S_max``, so neither is configured."""
 
     model: str
     n_env: int
@@ -80,8 +85,6 @@ class ExperimentConfig:
     overrides: Mapping = field(default_factory=dict)
     fragment_policy: str = "prefix"
     subsets_per_realization: int = 1
-    normalize: str = "smax"
-    engine: str = "auto"
     keep_realizations: bool = False
 
     def __post_init__(self):
@@ -95,7 +98,7 @@ class ExperimentConfig:
             raise ValueError("time_grid entries must be finite and >= 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("time_grid must be strictly increasing")
-        sizes = tuple(int(n) for n in self.fragment_sizes)
+        sizes = tuple(_integer(n, "fragment_sizes") for n in self.fragment_sizes)
         if not sizes:
             raise ValueError("fragment_sizes must be nonempty")
         if any(n < 0 or n > self.n_env for n in sizes):
@@ -108,10 +111,8 @@ class ExperimentConfig:
             raise ValueError("subsets_per_realization must be >= 1")
         if self.fragment_policy not in FRAGMENT_POLICIES:
             raise ValueError(f"fragment_policy must be one of {FRAGMENT_POLICIES}")
-        if self.normalize not in NORMALIZATIONS:
-            raise ValueError(f"normalize must be one of {NORMALIZATIONS}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}")
+        if self.fragment_policy == "prefix" and self.subsets_per_realization != 1:
+            raise ValueError("the prefix fragment policy takes subsets_per_realization = 1")
         overrides = dict(self.overrides)
         unknown = set(overrides) - set(_OVERRIDE_KEYS)
         if unknown:
@@ -134,15 +135,13 @@ class ExperimentConfig:
             },
             "fragment_policy": self.fragment_policy,
             "subsets_per_realization": self.subsets_per_realization,
-            "normalize": self.normalize,
-            "engine": self.engine,
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         _reject_unknown_keys(doc, _CONFIG_KEYS, "experiment config")
         ints = ("n_env", "realizations", "master_seed", "subsets_per_realization")
-        return cls(**{k: int(v) if k in ints else v for k, v in doc.items()})
+        return cls(**{k: _integer(v, k) if k in ints else v for k, v in doc.items()})
 
 
 @dataclass(frozen=True)
@@ -153,10 +152,10 @@ class SweepResult:
     NaN when the model does not keep an initially separable state in
     branching form (no closed form is available there). When the sweep was
     run with ``keep_realizations``, the per-realization values are retained
-    with a leading realization axis. ``engine`` is the engine that ran, with
-    ``auto`` resolved. ``smax_zeroed`` counts the realizations whose S_max was
-    at most 1e-12 and whose ratio row was therefore set to 0 (always 0 without
-    S_max normalization).
+    with a leading realization axis. ``engine`` is the engine the model's
+    structure chose: ``branching``, ``diagonal`` or ``dense``. ``smax_zeroed``
+    counts the realizations whose S_max was at most 1e-12 and whose ratio row
+    was therefore set to 0.
     """
 
     config: ExperimentConfig
@@ -190,18 +189,10 @@ class SweepResult:
         return grids[quantity]
 
 
-def _resolve_engine(spec: ModelSpec, engine: str) -> str:
-    if engine == "auto":
-        if spec.is_branching_form():
-            return "branching"
-        if spec.is_z_only():
-            return "diagonal"
-        return "dense"
-    if engine == "branching" and not spec.is_branching_form():
-        raise ValueError(f"model {spec.label} does not stay in branching form")
-    if engine == "diagonal" and not spec.is_z_only():
-        raise ValueError(f"model {spec.label} is not diagonal (z-only)")
-    return engine
+def _engine(spec: ModelSpec) -> str:
+    if spec.is_branching_form():
+        return "branching"
+    return "diagonal" if spec.is_z_only() else "dense"
 
 
 def _draw_fragments(rng, config: ExperimentConfig, n_env: int) -> np.ndarray:
@@ -256,11 +247,11 @@ def _mean_stderr(values: np.ndarray):
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the configured sweep; deterministic in the config alone."""
     spec = build_model(config.model, config.n_env, **config.overrides)
-    engine = _resolve_engine(spec, config.engine)
+    engine = _engine(spec)
     times = np.asarray(config.time_grid)
     sizes = np.asarray(config.fragment_sizes, dtype=int)
     r_count = config.realizations
-    has_holevo = spec.is_branching_form()
+    has_holevo = engine == "branching"
 
     i_all = np.empty((r_count, times.size, sizes.size))
     chi_all = np.empty_like(i_all) if has_holevo else None
@@ -285,7 +276,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 site_coeffs.append(env_coeffs)
                 fields.append(instance.j_tensor[0, 1:, 2, 2])
                 masks.append(frags)
-            if engine != "branching":
+            else:
                 # the state engines take I and S_S from explicit states
                 propagator = (
                     DiagonalPropagator(instance) if engine == "diagonal"
@@ -293,22 +284,16 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 )
                 i_all[r], s_all[r] = _state_tables(propagator, init, times, frags)
         if has_holevo:
-            i_vals, chi_all[start:stop], s_sys = _closed_form_tables(
+            i_all[start:stop], chi_all[start:stop], s_all[start:stop] = _closed_form_tables(
                 np.array(weights), np.array(site_coeffs), np.array(fields), times,
                 np.array(masks),
             )
-            if engine == "branching":
-                i_all[start:stop], s_all[start:stop] = i_vals, s_sys
 
     smax_all = binary_entropy(alpha0_sq)
-    if config.normalize == "smax":
-        # a system with no branch entropy to share has its ratio row set to 0
-        zeroed = smax_all <= 1e-12
-        ratio_all = i_all / np.where(zeroed, 1.0, smax_all)[:, None, None]
-        ratio_all[zeroed] = 0.0
-        smax_zeroed = int(np.count_nonzero(zeroed))
-    else:
-        ratio_all, smax_zeroed = i_all.copy(), 0
+    # a system with no branch entropy to share has its ratio row set to 0
+    zeroed = smax_all <= 1e-12
+    ratio_all = i_all / np.where(zeroed, 1.0, smax_all)[:, None, None]
+    ratio_all[zeroed] = 0.0
 
     i_mean, i_stderr = _mean_stderr(i_all)
     s_mean_t, s_stderr_t = _mean_stderr(s_all)
@@ -346,7 +331,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         ratio_values=ratio_all if config.keep_realizations else None,
         s_values=s_all if config.keep_realizations else None,
         smax_values=smax_all if config.keep_realizations else None,
-        smax_zeroed=smax_zeroed,
+        smax_zeroed=int(np.count_nonzero(zeroed)),
     )
 
 
@@ -379,12 +364,12 @@ def reproduce_fig3(
     n_env: int = 8,
     realizations: int = 100,
     master_seed: int = 0,
-    engine: str = "auto",
     keep_realizations: bool = False,
     overrides: Mapping | None = None,
 ) -> SweepResult:
     """Realization-averaged I(S:F)/S_max over time and fragment size for one
-    of the four reference models (defaults: N = 8, 100 realizations)."""
+    of the four reference models (defaults: N = 8, 100 realizations), each on
+    the engine its structure admits."""
     kind = canonical_kind(kind)
     config = ExperimentConfig(
         model=kind,
@@ -394,8 +379,6 @@ def reproduce_fig3(
         realizations=realizations,
         master_seed=master_seed,
         overrides=dict(overrides or {}),
-        normalize="smax",
-        engine=engine,
         keep_realizations=keep_realizations,
     )
     return run_sweep(config)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -124,6 +125,28 @@ def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
     for key in doc:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {where}; allowed: {sorted(allowed)}")
+
+
+def _integer(value, key: str) -> int:
+    """``value`` as an int; raise ValueError naming ``key`` for a bool or a
+    value that is not an integral number (an integral float such as 2.0 passes)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{key}: expected an integer, got {value!r}")
+
+
+def _law(kind: str, param):
+    """The coupling law of type ``kind`` with its one parameter: ``const`` a
+    value, ``uniform`` a half-width, ``discrete`` a sequence of values."""
+    if kind == "const":
+        return PointMass(float(param))
+    if kind == "uniform":
+        return ContinuousUniform(float(param))
+    if kind == "discrete":
+        return DiscreteUniform(tuple(param))
+    raise ValueError(f"unknown law type {kind!r}; allowed: {sorted(_SOURCE_KEYS)}")
 
 
 def _is_nonzero_law(law) -> bool:
@@ -266,11 +289,7 @@ class ModelSpec:
             if kind not in _SOURCE_KEYS:
                 raise ValueError(f"unknown source type {kind!r}")
             _reject_unknown_keys(obj, ("type", _SOURCE_KEYS[kind]), f"{kind} source")
-            if kind == "const":
-                return PointMass(float(obj["value"]))
-            if kind == "uniform":
-                return ContinuousUniform(float(obj["a"]))
-            return DiscreteUniform(tuple(obj["support"]))
+            return _law(kind, obj[_SOURCE_KEYS[kind]])
 
         def entries(name, keys):
             for entry in doc.get(name, []):
@@ -281,18 +300,18 @@ class ModelSpec:
         sys_env = {}
         for entry in entries("sys_env", ("axes", "site", "source")):
             axes = entry["axes"]
-            sys_env[(axes[0], int(entry["site"]), axes[1])] = dec(entry["source"])
+            sys_env[(axes[0], _integer(entry["site"], "site"), axes[1])] = dec(entry["source"])
         intra_env = {}
         for entry in entries("intra_env", ("axes", "sites", "source")):
             axes = entry["axes"]
-            i, j = entry["sites"]
-            intra_env[(int(i), int(j), axes[0], axes[1])] = dec(entry["source"])
+            i, j = (_integer(site, "sites") for site in entry["sites"])
+            intra_env[(i, j, axes[0], axes[1])] = dec(entry["source"])
         env_fields = {}
         for entry in entries("env_fields", ("site", "component", "source")):
-            env_fields[(int(entry["site"]), entry["component"])] = dec(entry["source"])
+            env_fields[(_integer(entry["site"], "site"), entry["component"])] = dec(entry["source"])
         return cls(
             label=str(doc.get("label", "")),
-            n_env=int(doc["n_env"]),
+            n_env=_integer(doc["n_env"], "n_env"),
             b0=Vec3.from_array(doc.get("b0", [0.0, 0.0, 0.0])),
             sys_env=sys_env,
             intra_env=intra_env,

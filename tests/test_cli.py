@@ -76,6 +76,22 @@ class TestClassifyCommand:
         assert main(["classify", "--config", str(typo)]) == 2
         assert "intra_envs" in capsys.readouterr().err
 
+        # a non-integral number must not be truncated to a valid one
+        spec = q.build_model("CPDI", 2).to_json_dict()
+        for key, edit in (
+            ("n_env", lambda d: d.update(n_env=2.5)),
+            ("site", lambda d: d["sys_env"][0].update(site=1.9)),
+            ("site", lambda d: d["sys_env"][0].update(site=True)),
+            ("sites", lambda d: d["intra_env"].append(
+                {"axes": "zz", "sites": [1, 2.5], "source": {"type": "const", "value": 1.0}}
+            )),
+        ):
+            doc = json.loads(json.dumps(spec))
+            edit(doc)
+            bad.write_text(json.dumps(doc))
+            assert main(["classify", "--config", str(bad)]) == 2
+            assert key in capsys.readouterr().err
+
 
 class TestFig2Command:
     def test_csv_contents(self, tmp_path):
@@ -157,7 +173,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", config, "--out", str(out)]) == 0
         sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert sidecar["engine"] == engine
-        assert sidecar["config"]["engine"] == "auto"
+        assert "engine" not in sidecar["config"] and "normalize" not in sidecar["config"]
         with open(config) as fh:
             given = q.ExperimentConfig.from_json_dict(json.load(fh))
         assert q.ExperimentConfig.from_json_dict(sidecar["config"]) == given
@@ -202,6 +218,22 @@ class TestSweepCommand:
         config = write_sweep_config(tmp_path, master_sed=5)
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
         assert "master_sed" in capsys.readouterr().err
+        # the engine and the normalization follow from the model: no such keys
+        for key, value in (("engine", "auto"), ("normalize", "smax")):
+            config = write_sweep_config(tmp_path, **{key: value})
+            assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+            assert key in capsys.readouterr().err
+        # a non-integral number must not be truncated to a valid one
+        for key, value in (
+            ("realizations", 2.7), ("n_env", True), ("master_seed", 1.5),
+            ("subsets_per_realization", "2"), ("fragment_sizes", [0, 1.5]),
+        ):
+            config = write_sweep_config(tmp_path, **{key: value})
+            assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+            assert key in capsys.readouterr().err
+        # an integral float is an integer
+        config = write_sweep_config(tmp_path, realizations=2.0, fragment_sizes=[0.0, 3.0])
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 0
 
 
 class TestUsageErrors:

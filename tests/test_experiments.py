@@ -51,9 +51,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(fragment_policy="middle")
         with pytest.raises(ValueError):
-            small_config(normalize="nope")
-        with pytest.raises(ValueError):
-            small_config(engine="magic")
+            small_config(fragment_sizes=(0, 1.5))
+        with pytest.raises(ValueError, match="prefix"):
+            small_config(subsets_per_realization=5)
         with pytest.raises(ValueError):
             small_config(overrides={"sigma": 1.0})
         with pytest.raises(ValueError):
@@ -64,8 +64,6 @@ class TestConfig:
             overrides={"half_width": 2.0},
             fragment_policy="random",
             subsets_per_realization=3,
-            engine="dense",
-            normalize="none",
         )
         doc = config.to_json_dict()
         assert q.ExperimentConfig.from_json_dict(doc) == config
@@ -117,10 +115,9 @@ class TestRunSweep:
                         assert abs(res.chi_values[r, ti, fi] - chi) < 1e-12, where
                         assert abs(res.i_values[r, ti, fi] - info) < 1e-9, where
 
-    @pytest.mark.parametrize("engine", ["auto", "dense"])
     @pytest.mark.parametrize("policy,subsets", [("prefix", 1), ("random", 3)])
     @pytest.mark.parametrize("model", ["CPDI", "DPDI"])
-    def test_chunking_does_not_change_results(self, monkeypatch, model, policy, subsets, engine):
+    def test_chunking_does_not_change_results(self, monkeypatch, model, policy, subsets):
         calls = Counter()
         kernel = experiments._closed_form_tables
 
@@ -130,7 +127,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(experiments, "_closed_form_tables", counting)
         config = small_config(
-            model=model, realizations=7, keep_realizations=True, engine=engine,
+            model=model, realizations=7, keep_realizations=True,
             fragment_policy=policy, subsets_per_realization=subsets,
         )
         cell_bytes = 16 * subsets * len(config.time_grid) * len(config.fragment_sizes)
@@ -169,13 +166,17 @@ class TestRunSweep:
         assert np.all(res.ratio_mean == 0.0)
         write_sidecar(res, tmp_path / "meta.json")
         assert json.loads((tmp_path / "meta.json").read_text())["smax_zeroed"] == 4
-        assert q.run_sweep(small_config(realizations=4, normalize="none")).smax_zeroed == 0
 
-    def test_dense_and_branching_engines_agree(self):
-        base = small_config(realizations=4, keep_realizations=True)
-        branching = q.run_sweep(base)
-        dense = q.run_sweep(small_config(realizations=4, keep_realizations=True, engine="dense"))
-        assert np.max(np.abs(branching.i_values - dense.i_values)) < 1e-7
+    def test_dense_and_branching_engines_agree(self, monkeypatch):
+        config = small_config(realizations=4, keep_realizations=True)
+        branching = q.run_sweep(config)
+        assert branching.engine == "branching"
+        # CPDI is z-only, so both state engines can run it as well
+        for engine in ("dense", "diagonal"):
+            monkeypatch.setattr(experiments, "_engine", lambda spec: engine)
+            forced = q.run_sweep(config)
+            assert forced.engine == engine
+            assert np.max(np.abs(branching.i_values - forced.i_values)) < 1e-7
 
     def test_monotone_in_fragment_size(self):
         res = q.run_sweep(small_config(realizations=5, keep_realizations=True))
@@ -224,10 +225,6 @@ class TestRunSweep:
         res = q.run_sweep(config)
         assert np.mean(res.s_values[:, 0] / res.smax_values) >= 0.9
 
-    def test_normalize_none(self):
-        res = q.run_sweep(small_config(normalize="none"))
-        np.testing.assert_array_equal(res.ratio_mean, res.i_mean)
-
     def test_random_subsets_policy(self):
         config = small_config(fragment_policy="random", subsets_per_realization=2)
         a = q.run_sweep(config)
@@ -253,14 +250,6 @@ class TestRunSweep:
         res = q.run_sweep(config)
         assert not res.has_holevo
         assert np.isnan(res.chi_mean).all()
-
-    def test_engine_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            q.run_sweep(small_config(model="CODI", n_env=3, fragment_sizes=(0, 1), engine="branching"))
-        with pytest.raises(ValueError):
-            q.run_sweep(small_config(model="CODI", n_env=3, fragment_sizes=(0, 1), engine="diagonal"))
-        with pytest.raises(ValueError):
-            q.run_sweep(small_config(model="CPDI_S", n_env=3, fragment_sizes=(0, 1), engine="branching"))
 
     def test_stderr_zero_for_single_realization(self):
         res = q.run_sweep(small_config(realizations=1))
