@@ -3,8 +3,9 @@ and a dense spectral fallback.
 
 The diagonal path builds its energies by bit doubling in O(2^n). The dense
 path builds the full H but diagonalizes it block by block: each block holds
-the basis states that share the bits no term of H flips, so a z-only
-environment coupled to a transverse system gives 2x2 blocks.
+the basis states that share the bits no term of the instance flips, read
+from its x and y terms with no scan of H, so a z-only environment coupled to
+a transverse system gives 2x2 blocks.
 
 The three engines agree on their common domain. Global phase is never
 normalized away; comparisons should align phases first (see
@@ -13,7 +14,7 @@ normalized away; comparisons should align phases first (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,11 +31,13 @@ class PureState:
     A complex128 ndarray is held as given, without a copy: the state shares
     its buffer with the caller, who must not write to it afterwards. Any
     other input (a list, a real or other-dtype array) is converted to a new
-    complex128 array.
+    complex128 array. ``norm_sq`` is ||psi||^2 from the norm check, within
+    2e-9 of 1.
     """
 
     n_qubits: int
     amplitudes: np.ndarray
+    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -46,6 +49,7 @@ class PureState:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "norm_sq", norm * norm)
 
     @property
     def dim(self) -> int:
@@ -231,40 +235,54 @@ def align_global_phase(state: PureState, reference: PureState) -> PureState:
 class DensePropagator:
     """exp(-iHt) through Hermitian eigendecompositions, reusable for many t.
 
-    No term of H flips a qubit whose sigma_z commutes with H, so the basis
-    states that share those bits form a block of H. The blocks are
-    diagonalized in one batched ``eigh``: 2x2 blocks for a z-only
-    environment coupled to a transverse system, 1x1 blocks (H's diagonal)
-    for a z-only H, one block (H itself) when every qubit is flipped. Exact
-    for the time-independent Hamiltonians built here; unitarity holds to the
-    accuracy of the factorization.
+    A qubit that no term of the instance flips (no x or y field on it, no x
+    or y factor on it in any coupling) keeps its bit under H, so the basis
+    states that share those bits form a block of H. The blocks come from the
+    instance's terms, with no scan of H, and are diagonalized in one batched
+    ``eigh``: 2x2 blocks for a z-only environment coupled to a transverse
+    system, 1x1 blocks (H's diagonal) for a z-only H, one block (H itself)
+    when every qubit is flipped. When the flipped qubits are the lowest bits,
+    each block is a run of consecutive basis states and no permutation is
+    applied. Exact for the time-independent Hamiltonians built here;
+    unitarity holds to the accuracy of the factorization.
     """
 
     def __init__(self, instance: ModelInstance):
-        self.n_qubits = instance.n_qubits
+        n_qubits = self.n_qubits = instance.n_qubits
+        flipped = instance.flip_mask()
+        size = 1 << bin(flipped).count("1")
         h = hamiltonian_matrix(instance)
-        rows, cols = np.nonzero(h)
-        flipped = int(np.bitwise_or.reduce(rows ^ cols, initial=0))
-        # group the basis states by their never-flipped bits; the stable sort
-        # keeps the flipped bits counting up inside each group, so row b of
-        # ``blocks`` lists the states of block b
-        order = np.argsort(np.arange(1 << self.n_qubits) & ~flipped, kind="stable")
-        blocks = order.reshape(-1, 1 << bin(flipped).count("1"))
-        if blocks.shape[0] > 1:
-            h = h[blocks[:, :, None], blocks[:, None, :]]
+        if flipped & (flipped + 1) == 0:
+            # the flipped qubits are the lowest bits: block b is the run of
+            # states b * size .. (b + 1) * size - 1, a diagonal view of H
+            count = (1 << n_qubits) // size
+            h = np.diagonal(h.reshape(count, size, count, size), axis1=0, axis2=2)
+            h = h.transpose(2, 0, 1)
+            self._order = self._inverse = None
         else:
-            h = h[None]  # one block in the original order: a view, not a copy
+            # group the basis states by their never-flipped bits; the stable
+            # sort keeps the flipped bits counting up inside each group, so
+            # row b of ``blocks`` lists the states of block b
+            order = np.argsort(np.arange(1 << n_qubits) & ~flipped, kind="stable")
+            blocks = order.reshape(-1, size)
+            h = h[blocks[:, :, None], blocks[:, None, :]]
+            self._order, self._inverse = order, np.argsort(order)
         self._energies, self._modes = np.linalg.eigh(h)
-        self._order = order
+        del h  # release H before the conjugate modes are made
+        self._modes_h = np.empty_like(self._modes)
+        np.conjugate(self._modes.transpose(0, 2, 1), out=self._modes_h)
 
     def evolve(self, state: PureState, t: float) -> PureState:
         if state.n_qubits != self.n_qubits:
             raise ValueError("state size does not match the propagator")
-        amps = state.amplitudes[self._order].reshape(self._energies.shape)
-        coeffs = (amps.conj()[:, None, :] @ self._modes).conj()
-        coeffs *= np.exp(-1j * self._energies * float(t))[:, None, :]
-        out = np.empty_like(state.amplitudes)
-        out[self._order] = (self._modes @ coeffs.transpose(0, 2, 1)).ravel()
+        amps = state.amplitudes
+        if self._order is not None:
+            amps = amps[self._order]
+        coeffs = np.einsum("kij,kj->ki", self._modes_h, amps.reshape(self._energies.shape))
+        coeffs *= np.exp(-1j * self._energies * float(t))
+        out = np.einsum("kij,kj->ki", self._modes, coeffs).ravel()
+        if self._inverse is not None:
+            out = out[self._inverse]
         return PureState(self.n_qubits, out)
 
 

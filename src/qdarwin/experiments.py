@@ -56,6 +56,7 @@ _CONFIG_KEYS = (
     "model", "n_env", "time_grid", "fragment_sizes", "realizations", "master_seed",
     "overrides", "fragment_policy", "subsets_per_realization",
 )
+_INTEGER_KEYS = ("n_env", "realizations", "master_seed", "subsets_per_realization")
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -89,6 +90,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "model", canonical_kind(self.model))
+        for key in _INTEGER_KEYS:
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         if self.n_env < 1:
             raise ValueError(f"n_env must be >= 1, got {self.n_env}")
         times = tuple(float(t) for t in self.time_grid)
@@ -140,8 +143,7 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         _reject_unknown_keys(doc, _CONFIG_KEYS, "experiment config")
-        ints = ("n_env", "realizations", "master_seed", "subsets_per_realization")
-        return cls(**{k: _integer(v, k) if k in ints else v for k, v in doc.items()})
+        return cls(**doc)
 
 
 @dataclass(frozen=True)

@@ -180,12 +180,13 @@ def reduced_density(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(m @ m.conj().T)
 
 
-def _entropy_from_eigenvalues(eigs: Sequence[float]) -> float:
+def _entropy_from_eigenvalues(eigs: Sequence[float], top: float = 1.0) -> float:
     """Entropy (bits) of a spectrum of floats in ascending order, as
-    ``eigvalsh`` returns it. Raises NumericalError when it leaves [0, 1]
-    beyond ``_EIG_TOL``; eigenvalues inside the tolerance are clamped to
-    [0, 1]."""
-    if eigs[0] < -_EIG_TOL or eigs[-1] > 1.0 + _EIG_TOL:
+    ``eigvalsh`` returns it. Raises NumericalError when it leaves [0, top]
+    beyond ``_EIG_TOL``, where ``top`` is the trace of the matrix it came
+    from (||psi||^2 for a cut of a pure state); eigenvalues inside the
+    tolerance are clamped to [0, 1]."""
+    if eigs[0] < -_EIG_TOL or eigs[-1] > top + _EIG_TOL:
         raise NumericalError(f"eigenvalues out of [0, 1] beyond tolerance: {list(eigs)}")
     entropy = 0.0
     for lam in eigs:
@@ -216,6 +217,9 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
       from its diagonal a, c and lower off-diagonal entry b.
     - d >= 4: ``eigvalsh`` of the Gram.
 
+    The spectrum must lie in [0, ||psi||^2] (``PureState.norm_sq``) within
+    ``_EIG_TOL``, so a state at the edge of its own norm check passes.
+
     A state larger than ``_GRAM_BLOCK_BYTES`` has the lower triangle of its
     Gram summed block by block, so the cut never copies the whole state.
     """
@@ -229,11 +233,11 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
         m = _partition_matrix(psi, keep)
         gram = m @ m.conj().T
     if d > 2:
-        return _entropy_from_eigenvalues(np.linalg.eigvalsh(gram).tolist())
+        return _entropy_from_eigenvalues(np.linalg.eigvalsh(gram).tolist(), psi.norm_sq)
     (a, _), (b, c) = gram.tolist()
     mid = 0.5 * (a.real + c.real)
     half_gap = math.hypot(0.5 * (a.real - c.real), abs(b))
-    return _entropy_from_eigenvalues((mid - half_gap, mid + half_gap))
+    return _entropy_from_eigenvalues((mid - half_gap, mid + half_gap), psi.norm_sq)
 
 
 def mutual_information(psi: PureState, frag: Fragment) -> float:

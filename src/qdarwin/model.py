@@ -17,6 +17,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,8 +80,10 @@ class ContinuousUniform:
         if self.half_width <= 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(-self.half_width, self.half_width))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws in one generator call; the same stream as ``size``
+        scalar calls."""
+        return rng.uniform(-self.half_width, self.half_width, size=size)
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,8 @@ class DiscreteUniform:
         _require_finite("support value", *support)
         object.__setattr__(self, "support", support)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.support[int(rng.integers(len(self.support)))]
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.array(self.support)[rng.integers(len(self.support), size=size)]
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,9 @@ class PointMass:
     def __post_init__(self):
         _require_finite("value", self.value)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` copies of the value; consumes no generator state."""
+        return np.full(size, self.value)
 
 
 # Keys of the model-spec JSON schema, and the parameter key of each source type.
@@ -183,39 +187,44 @@ class ModelSpec:
     env_fields: Mapping
 
     def __post_init__(self):
-        if self.n_env < 1:
-            raise ValueError(f"n_env must be >= 1, got {self.n_env}")
+        n_env = _integer(self.n_env, "n_env")
+        if n_env < 1:
+            raise ValueError(f"n_env must be >= 1, got {n_env}")
 
         sys_env = {}
         for key, law in dict(self.sys_env).items():
             alpha, site, beta = key
+            site = _integer(site, "site")
             if alpha not in AXES or beta not in AXES:
                 raise ValueError(f"bad axes in sys_env key {key!r}")
-            if not 1 <= site <= self.n_env:
-                raise ValueError(f"sys_env site {site} out of range 1..{self.n_env}")
+            if not 1 <= site <= n_env:
+                raise ValueError(f"sys_env site {site} out of range 1..{n_env}")
             if _is_nonzero_law(law):
-                sys_env[(alpha, int(site), beta)] = law
+                sys_env[(alpha, site, beta)] = law
 
         intra_env = {}
         for key, law in dict(self.intra_env).items():
             i, j, alpha, beta = key
+            i, j = _integer(i, "sites"), _integer(j, "sites")
             if alpha not in AXES or beta not in AXES:
                 raise ValueError(f"bad axes in intra_env key {key!r}")
-            if not (1 <= i < j <= self.n_env):
-                raise ValueError(f"intra_env sites {(i, j)} must satisfy 1 <= i < j <= {self.n_env}")
+            if not (1 <= i < j <= n_env):
+                raise ValueError(f"intra_env sites {(i, j)} must satisfy 1 <= i < j <= {n_env}")
             if _is_nonzero_law(law):
-                intra_env[(int(i), int(j), alpha, beta)] = law
+                intra_env[(i, j, alpha, beta)] = law
 
         env_fields = {}
         for key, law in dict(self.env_fields).items():
             site, comp = key
+            site = _integer(site, "site")
             if comp not in AXES:
                 raise ValueError(f"bad component in env_fields key {key!r}")
-            if not 1 <= site <= self.n_env:
-                raise ValueError(f"env_fields site {site} out of range 1..{self.n_env}")
+            if not 1 <= site <= n_env:
+                raise ValueError(f"env_fields site {site} out of range 1..{n_env}")
             if _is_nonzero_law(law):
-                env_fields[(int(site), comp)] = law
+                env_fields[(site, comp)] = law
 
+        object.__setattr__(self, "n_env", n_env)
         object.__setattr__(self, "sys_env", dict(sorted(sys_env.items())))
         object.__setattr__(self, "intra_env", dict(sorted(intra_env.items())))
         object.__setattr__(self, "env_fields", dict(sorted(env_fields.items())))
@@ -300,18 +309,18 @@ class ModelSpec:
         sys_env = {}
         for entry in entries("sys_env", ("axes", "site", "source")):
             axes = entry["axes"]
-            sys_env[(axes[0], _integer(entry["site"], "site"), axes[1])] = dec(entry["source"])
+            sys_env[(axes[0], entry["site"], axes[1])] = dec(entry["source"])
         intra_env = {}
         for entry in entries("intra_env", ("axes", "sites", "source")):
             axes = entry["axes"]
-            i, j = (_integer(site, "sites") for site in entry["sites"])
+            i, j = entry["sites"]
             intra_env[(i, j, axes[0], axes[1])] = dec(entry["source"])
         env_fields = {}
         for entry in entries("env_fields", ("site", "component", "source")):
-            env_fields[(_integer(entry["site"], "site"), entry["component"])] = dec(entry["source"])
+            env_fields[(entry["site"], entry["component"])] = dec(entry["source"])
         return cls(
             label=str(doc.get("label", "")),
-            n_env=_integer(doc["n_env"], "n_env"),
+            n_env=doc["n_env"],
             b0=Vec3.from_array(doc.get("b0", [0.0, 0.0, 0.0])),
             sys_env=sys_env,
             intra_env=intra_env,
@@ -384,10 +393,17 @@ class ModelInstance:
             return 0.0
         return float(np.max(np.abs(self.j_tensor[1:, 1:, :, :])))
 
+    def flip_mask(self) -> int:
+        """Bit mask of the qubits some term flips: those with an x or y field
+        or an x or y factor in a coupling. It holds every bit that a nonzero
+        entry of H flips, and more only where terms cancel exactly."""
+        transverse = self.fields[:, :2].any(axis=1)
+        transverse |= self.j_tensor[:, :, :2, :].any(axis=(1, 2, 3))  # factor on qubit i
+        transverse |= self.j_tensor[:, :, :, :2].any(axis=(0, 2, 3))  # factor on qubit j
+        return sum(1 << int(k) for k in np.flatnonzero(transverse))
+
     def is_z_only(self) -> bool:
-        if np.any(self.j_tensor[:, :, :2, :] != 0.0) or np.any(self.j_tensor[:, :, :, :2] != 0.0):
-            return False
-        return not np.any(self.fields[:, :2] != 0.0)
+        return self.flip_mask() == 0
 
 
 @dataclass(frozen=True)
@@ -484,16 +500,31 @@ def sample_instance(spec: ModelSpec, seed) -> ModelInstance:
     """
     rng = _as_rng(seed)
     n = spec.n_env
+    couplings = [(0, j, alpha, beta) for alpha, j, beta in spec.sys_env] + list(spec.intra_env)
+    values = _draw(
+        [*spec.sys_env.values(), *spec.intra_env.values(), *spec.env_fields.values()], rng
+    )
     jt = np.zeros((n + 1, n + 1, 3, 3))
-    for (alpha, j, beta), law in spec.sys_env.items():
-        jt[0, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = law.sample(rng)
-    for (i, j, alpha, beta), law in spec.intra_env.items():
-        jt[i, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = law.sample(rng)
+    for (i, j, alpha, beta), value in zip(couplings, values):
+        jt[i, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = value
     fields = np.zeros((n + 1, 3))
     fields[0] = spec.b0.as_array()
-    for (site, comp), law in spec.env_fields.items():
-        fields[site, _AXIS_INDEX[comp]] = law.sample(rng)
+    for (site, comp), value in zip(spec.env_fields, values[len(couplings):]):
+        fields[site, _AXIS_INDEX[comp]] = value
     return ModelInstance(n_env=n, j_tensor=jt, fields=fields)
+
+
+def _draw(laws, rng: np.random.Generator) -> np.ndarray:
+    """One value per law, in order; each run of consecutive equal laws is
+    drawn in one vector call, which leaves the generator where scalar draws
+    would."""
+    values = np.empty(len(laws))
+    start = 0
+    for law, run in groupby(laws):
+        stop = start + len(list(run))
+        values[start:stop] = law.sample(rng, stop - start)
+        start = stop
+    return values
 
 
 def classify(instance: ModelInstance, continuous_support: bool, tol: float = 1e-9) -> Classification:

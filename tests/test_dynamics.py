@@ -65,6 +65,10 @@ def block_case(name, rng):
 def assert_matches_oracle(instance, block_size, seed):
     prop = q.DensePropagator(instance)
     assert prop._modes.shape[1:] == (block_size, block_size)
+    # blocks are runs of consecutive states, with no permutation, exactly
+    # when the flipped qubits are the lowest bits
+    mask = instance.flip_mask()
+    assert (prop._order is None) == (mask & (mask + 1) == 0)
     psi0 = q.dense_product_state(q.random_product_state(instance.n_qubits, seed))
     for t, expected in zip(ORACLE_TIMES, oracle_evolution(instance, psi0, ORACLE_TIMES)):
         assert np.max(np.abs(prop.evolve(psi0, t).amplitudes - expected)) <= 1e-10
@@ -243,6 +247,83 @@ class TestDenseEngine:
         once = prop.evolve(psi0, 2.3)
         stepped = prop.evolve(prop.evolve(psi0, 1.4), 0.9)
         assert np.max(np.abs(once.amplitudes - stepped.amplitudes)) <= 1e-9
+
+
+def scanned_flip_mask(instance):
+    """OR of rows ^ cols over the nonzero entries of the oracle H."""
+    rows, cols = np.nonzero(oracle_hamiltonian(instance))
+    return int(np.bitwise_or.reduce(rows ^ cols, initial=0))
+
+
+# flipping coupling types (axis on the lower qubit, axis on the higher) and
+# the flipping fields
+FLIP_PAIRS = ((0, 0), (0, 1), (1, 1), (2, 0))
+FLIP_FIELDS = (0, 1)
+
+
+@st.composite
+def transverse_instances(draw):
+    """Instances whose flipped qubits are chosen first: either the lowest k
+    qubits (blocks of consecutive states) or any set. Each flipped qubit gets
+    an x or y field or a flipping coupling; x/y factors sit on flipped qubits
+    only, so the chosen set is the expected mask. Two flipped qubits carry an
+    XX + YY pair, whose coefficients may be equal."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        flipped = list(range(draw(st.integers(1, n))))
+    else:
+        flipped = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jt = np.zeros((n, n, 3, 3))
+    fields = np.zeros((n, 3))
+    fields[:, 2] = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.5)
+    reached = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                continue
+            a, b = FLIP_PAIRS[rng.integers(len(FLIP_PAIRS))]
+            if i not in flipped:
+                a = 2
+            if j not in flipped:
+                b = 2
+            jt[i, j, a, b] = rng.uniform(-1.0, 1.0)
+            reached.update(k for k, axis in ((i, a), (j, b)) if axis != 2)
+    for k in flipped:
+        if k not in reached or rng.random() < 0.5:
+            fields[k, FLIP_FIELDS[rng.integers(2)]] = rng.uniform(0.1, 1.0)
+    if len(flipped) >= 2:
+        i, j = flipped[:2]
+        jt[i, j, 0, 0] = draw(st.sampled_from([0.6, -0.3]))
+        jt[i, j, 1, 1] = draw(st.sampled_from([0.6, 0.8]))
+    instance = q.ModelInstance(n_env=n - 1, j_tensor=jt, fields=fields)
+    return instance, sum(1 << k for k in flipped)
+
+
+class TestBlockMask:
+    """The dense engine's blocks come from the instance's terms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=transverse_instances())
+    def test_mask_covers_h_and_blocks_evolve_exactly(self, case):
+        instance, expected = case
+        mask = instance.flip_mask()
+        assert mask == expected
+        scanned = scanned_flip_mask(instance)
+        assert mask & scanned == scanned
+        assert_matches_oracle(instance, 1 << bin(mask).count("1"), 3)
+
+    @pytest.mark.parametrize("kind", q.MODEL_KINDS)
+    @pytest.mark.parametrize("n_env", [3, 8])
+    def test_reference_models_flip_what_h_flips(self, kind, n_env):
+        instance = q.sample_instance(q.build_model(kind, n_env), n_env)
+        assert instance.flip_mask() == scanned_flip_mask(instance)
+        assert instance.flip_mask() == (1 if kind == "CODI" else 0)
+
+    def test_codi_blocks_are_consecutive_pairs(self):
+        prop = q.DensePropagator(q.sample_instance(q.build_model("CODI", 8), 0))
+        assert prop._modes.shape == (256, 2, 2)
+        assert prop._order is None
 
 
 class TestDiagonalEngine:

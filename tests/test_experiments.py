@@ -59,6 +59,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(model="ZZZ")
 
+    def test_integer_fields_reject_non_integral_numbers(self):
+        for key in ("n_env", "realizations", "master_seed", "subsets_per_realization"):
+            for bad in (1.9, True):
+                with pytest.raises(ValueError, match=key):
+                    small_config(**{key: bad})
+        config = small_config(n_env=2.0, fragment_sizes=(0, 2), realizations=2.0, master_seed=7.0)
+        assert (config.n_env, config.realizations, config.master_seed) == (2, 2, 7)
+        assert all(type(v) is int for v in (config.n_env, config.realizations, config.master_seed))
+
     def test_json_roundtrip(self):
         config = small_config(
             overrides={"half_width": 2.0},

@@ -220,6 +220,29 @@ class TestSmallCuts:
             assert q.subsystem_entropy(psi, ()) == 0.0
             assert q.subsystem_entropy(psi, tuple(range(n))) == 0.0
 
+    def test_cuts_of_an_edge_normalized_state_stay_in_range(self, monkeypatch):
+        # ||psi|| = 1 + 8e-10 passes the state's own 1e-9 check, and a
+        # near-pure cut's top eigenvalue ||psi||^2 = 1 + 1.6e-9 is in range
+        product = q.dense_product_state(q.random_product_state(5, 3))
+        edge = q.PureState(5, product.amplitudes * (1.0 + 8e-10))
+        mixed = random_state(5, 5)
+        mixed_edge = q.PureState(5, mixed.amplitudes * (1.0 + 8e-10))
+        cuts = ((0,), (0, 1), (1, 2, 3))  # d = 2, then d = 4 twice
+        for keep in cuts:
+            assert abs(q.subsystem_entropy(edge, keep)) < 1e-12
+            expected = q.subsystem_entropy(mixed, keep)
+            assert abs(q.subsystem_entropy(mixed_edge, keep) - expected) < 1e-8
+        # a spectrum beyond the state's own ||psi||^2 + 1e-9 still raises
+        partition = information._partition_matrix
+        monkeypatch.setattr(
+            information,
+            "_partition_matrix",
+            lambda psi, keep: (1.0 + 2e-9) * partition(psi, keep),
+        )
+        for keep in cuts:
+            with pytest.raises(NumericalError, match="beyond tolerance"):
+                q.subsystem_entropy(edge, keep)
+
     def test_doubled_partition_is_out_of_range(self, monkeypatch):
         psi = random_state(5, 5)
         partition = information._partition_matrix

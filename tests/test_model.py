@@ -84,6 +84,29 @@ def _mixed_spec():
     )
 
 
+def _interleaved_spec():
+    """Runs of const, uniform and discrete laws, each law type in more than
+    one run, across all three mappings."""
+    uniform, narrow = q.ContinuousUniform(1.0), q.ContinuousUniform(0.2)
+    discrete = q.DiscreteUniform((-1.0, 0.5, 2.0))
+    const = q.PointMass(0.3)
+    return q.ModelSpec(
+        label="interleaved",
+        n_env=4,
+        b0=q.Vec3(0.0, 0.5, 0.0),
+        sys_env={
+            ("x", 1, "x"): uniform, ("x", 2, "x"): uniform, ("x", 3, "z"): const,
+            ("y", 1, "z"): discrete, ("y", 2, "z"): discrete, ("y", 4, "y"): uniform,
+            ("z", 1, "z"): narrow, ("z", 2, "z"): const, ("z", 3, "z"): discrete,
+        },
+        intra_env={
+            (1, 2, "z", "z"): discrete, (1, 3, "z", "z"): uniform, (1, 4, "x", "x"): uniform,
+            (2, 3, "y", "y"): const, (2, 4, "z", "z"): narrow, (3, 4, "z", "z"): narrow,
+        },
+        env_fields={(1, "x"): narrow, (2, "x"): uniform, (3, "z"): discrete, (4, "z"): const},
+    )
+
+
 class TestSourcesAndSpec:
     def test_spec_values_must_be_laws(self):
         spec = q.ModelSpec("t", 1, q.Vec3.zero(), {("z", 1, "z"): q.PointMass(0.7)}, {}, {})
@@ -119,6 +142,29 @@ class TestSourcesAndSpec:
             q.ModelSpec("t", 3, q.Vec3.zero(), {}, {(2, 2, "z", "z"): q.PointMass(1.0)}, {})
         with pytest.raises(ValueError):
             q.ModelSpec("t", 1, q.Vec3.zero(), {}, {}, {(1, "q"): q.PointMass(1.0)})
+
+    def test_non_integral_indices_rejected(self):
+        law = q.PointMass(1.0)
+        for bad in (1.9, True):
+            with pytest.raises(ValueError, match="site"):
+                q.ModelSpec("t", 2, q.Vec3.zero(), {("z", bad, "z"): law}, {}, {})
+            with pytest.raises(ValueError, match="sites"):
+                q.ModelSpec("t", 3, q.Vec3.zero(), {}, {(bad, 3, "z", "z"): law}, {})
+            with pytest.raises(ValueError, match="sites"):
+                q.ModelSpec("t", 3, q.Vec3.zero(), {}, {(1, bad, "z", "z"): law}, {})
+            with pytest.raises(ValueError, match="site"):
+                q.ModelSpec("t", 2, q.Vec3.zero(), {}, {}, {(bad, "x"): law})
+            with pytest.raises(ValueError, match="n_env"):
+                q.ModelSpec("t", bad, q.Vec3.zero(), {}, {}, {})
+        # an integral float is the integer it names
+        spec = q.ModelSpec(
+            "t", 3.0, q.Vec3.zero(), {("z", 2.0, "z"): law}, {(1.0, 3.0, "z", "z"): law},
+            {(2.0, "x"): law},
+        )
+        assert spec.n_env == 3 and type(spec.n_env) is int
+        keys = [*spec.sys_env, *spec.intra_env, *spec.env_fields]
+        assert keys == [("z", 2, "z"), (1, 3, "z", "z"), (2, "x")]
+        assert all(type(k) is int for key in keys for k in key if not isinstance(k, str))
 
     @pytest.mark.parametrize("kind", [*q.MODEL_KINDS, "mixed"])
     def test_json_roundtrip(self, kind):
@@ -232,6 +278,35 @@ class TestSampleInstance:
         assert [(e["axes"][0], e["site"], e["axes"][1]) for e in doc["sys_env"]] == sys_order
         assert [(*e["sites"], *e["axes"]) for e in doc["intra_env"]] == intra_order
         assert [(e["site"], e["component"]) for e in doc["env_fields"]] == field_order
+
+    @pytest.mark.parametrize(
+        "spec",
+        [q.build_model(kind, n) for kind in q.MODEL_KINDS for n in (3, 8)] + [_interleaved_spec()],
+        ids=[f"{kind}-{n}" for kind in q.MODEL_KINDS for n in (3, 8)] + ["interleaved"],
+    )
+    def test_vector_draws_match_scalar_loop(self, spec):
+        # one scalar generator call per entry, in draw order
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            jt = np.zeros((spec.n_env + 1,) * 2 + (3, 3))
+            fields = np.zeros((spec.n_env + 1, 3))
+            fields[0] = spec.b0.as_array()
+            targets = [(jt, (0, j, AXES.index(a), AXES.index(b))) for a, j, b in spec.sys_env]
+            targets += [(jt, (i, j, AXES.index(a), AXES.index(b))) for i, j, a, b in spec.intra_env]
+            targets += [(fields, (k, AXES.index(c))) for k, c in spec.env_fields]
+            laws = [*spec.sys_env.values(), *spec.intra_env.values(), *spec.env_fields.values()]
+            for (array, index), law in zip(targets, laws):
+                if isinstance(law, q.ContinuousUniform):
+                    array[index] = rng.uniform(-law.half_width, law.half_width)
+                elif isinstance(law, q.DiscreteUniform):
+                    array[index] = law.support[int(rng.integers(len(law.support)))]
+                else:
+                    array[index] = law.value
+            gen = np.random.default_rng(seed)
+            inst = q.sample_instance(spec, gen)
+            assert np.array_equal(inst.j_tensor, jt)
+            assert np.array_equal(inst.fields, fields)
+            assert gen.random() == rng.random()
 
     def test_instance_validation(self):
         jt = np.zeros((3, 3, 3, 3))
