@@ -248,25 +248,24 @@ class DensePropagator:
     """
 
     def __init__(self, instance: ModelInstance):
-        n_qubits = self.n_qubits = instance.n_qubits
+        self.n_qubits = instance.n_qubits
         flipped = instance.flip_mask()
-        size = 1 << bin(flipped).count("1")
-        h = hamiltonian_matrix(instance)
-        if flipped & (flipped + 1) == 0:
-            # the flipped qubits are the lowest bits: block b is the run of
-            # states b * size .. (b + 1) * size - 1, a diagonal view of H
-            count = (1 << n_qubits) // size
-            h = np.diagonal(h.reshape(count, size, count, size), axis1=0, axis2=2)
-            h = h.transpose(2, 0, 1)
-            self._order = self._inverse = None
-        else:
-            # group the basis states by their never-flipped bits; the stable
-            # sort keeps the flipped bits counting up inside each group, so
-            # row b of ``blocks`` lists the states of block b
-            order = np.argsort(np.arange(1 << n_qubits) & ~flipped, kind="stable")
-            blocks = order.reshape(-1, size)
-            h = h[blocks[:, :, None], blocks[:, None, :]]
+        # group the basis states by their never-flipped bits; the stable sort
+        # keeps the flipped bits counting up inside each group, so row b of
+        # ``blocks`` lists the states of block b
+        order = np.argsort(np.arange(1 << self.n_qubits) & ~flipped, kind="stable")
+        blocks = order.reshape(-1, 1 << bin(flipped).count("1"))
+        # with the flipped qubits on the lowest bits every block is a run of
+        # consecutive states, the order is the identity and evolve skips it
+        self._order = self._inverse = None
+        if flipped & (flipped + 1):
             self._order, self._inverse = order, np.argsort(order)
+        h = hamiltonian_matrix(instance)
+        if blocks.shape[0] > 1:
+            # a copy, so H is released before ``eigh`` allocates
+            h = h[blocks[:, :, None], blocks[:, None, :]]
+        else:
+            h = h[None]  # one block in the original order: a view, not a copy
         self._energies, self._modes = np.linalg.eigh(h)
         del h  # release H before the conjugate modes are made
         self._modes_h = np.empty_like(self._modes)
