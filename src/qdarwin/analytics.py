@@ -22,7 +22,7 @@ _LN2 = math.log(2.0)
 def binary_entropy(p):
     """-p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0. Accepts arrays."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    if not (np.all(arr >= -1e-12) and np.all(arr <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("probability out of [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     out = np.zeros_like(arr)
@@ -49,7 +49,7 @@ def characteristic_function(dist, k):
 
 def _check_unit_interval(name, value):
     arr = np.asarray(value, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails too
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return arr
 

@@ -207,8 +207,8 @@ def _parse_dist(spec: str):
     if not sep:
         raise ValueError(f"malformed distribution spec {spec!r}")
     if kind == "discrete":
-        rest = [v for v in rest.split(",") if v.strip() != ""]
-    return _law(kind, rest)
+        return _law(kind, [float(v) for v in rest.split(",") if v.strip() != ""])
+    return _law(kind, float(rest))
 
 
 def _load_json(path):
@@ -278,8 +278,8 @@ def _cmd_gamma(args) -> None:
     dist = _parse_dist(args.dist)
     if args.steps < 1:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
-    if args.tmax < 0:
-        raise ValueError(f"tmax must be >= 0, got {args.tmax}")
+    if not 0 <= args.tmax < math.inf:
+        raise ValueError(f"tmax must be finite and >= 0, got {args.tmax}")
     times = np.linspace(0.0, args.tmax, args.steps)
     curve = averaged_gamma_curve(dist, args.alpha2, times)
     lines = ["time,avg_gamma_sq"]

@@ -38,6 +38,7 @@ from .information import _closed_form_tables, subsystem_entropy
 from .model import (
     ModelSpec,
     _integer,
+    _real,
     _reject_unknown_keys,
     build_model,
     canonical_kind,
@@ -94,11 +95,11 @@ class ExperimentConfig:
             object.__setattr__(self, key, _integer(getattr(self, key), key))
         if self.n_env < 1:
             raise ValueError(f"n_env must be >= 1, got {self.n_env}")
-        times = tuple(float(t) for t in self.time_grid)
+        times = tuple(_real(t, "time_grid") for t in self.time_grid)
         if not times:
             raise ValueError("time_grid must be nonempty")
-        if any(not np.isfinite(t) or t < 0 for t in times):
-            raise ValueError("time_grid entries must be finite and >= 0")
+        if any(t < 0 for t in times):
+            raise ValueError("time_grid entries must be >= 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("time_grid must be strictly increasing")
         sizes = tuple(_integer(n, "fragment_sizes") for n in self.fragment_sizes)
@@ -120,25 +121,13 @@ class ExperimentConfig:
         unknown = set(overrides) - set(_OVERRIDE_KEYS)
         if unknown:
             raise ValueError(f"unknown override keys {sorted(unknown)}; allowed: {_OVERRIDE_KEYS}")
+        build_model(self.model, self.n_env, **overrides)  # the builder checks every value
         object.__setattr__(self, "time_grid", times)
         object.__setattr__(self, "fragment_sizes", sizes)
         object.__setattr__(self, "overrides", overrides)
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "n_env": self.n_env,
-            "time_grid": list(self.time_grid),
-            "fragment_sizes": list(self.fragment_sizes),
-            "realizations": self.realizations,
-            "master_seed": self.master_seed,
-            "overrides": {
-                k: (list(v) if isinstance(v, (list, tuple)) else v)
-                for k, v in self.overrides.items()
-            },
-            "fragment_policy": self.fragment_policy,
-            "subsets_per_realization": self.subsets_per_realization,
-        }
+        return {key: getattr(self, key) for key in _CONFIG_KEYS}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":

@@ -172,12 +172,13 @@ def _blocked_gram(psi: PureState, keep: tuple) -> np.ndarray:
 
 
 def reduced_density(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
-    """Partial trace of |psi><psi| over every qubit not listed in ``keep``."""
+    """Partial trace of |psi><psi| / ||psi||^2 over every qubit not listed in
+    ``keep``, so a state at the edge of its own norm check has unit trace."""
     keep = tuple(keep)
     m = _partition_matrix(psi, keep)
     if not _cut(psi.n_qubits, keep).on_keep:
         m = m.T  # rows back on the kept qubits
-    return DensityMatrix(m @ m.conj().T)
+    return DensityMatrix(m @ m.conj().T / psi.norm_sq)
 
 
 def _entropy_from_eigenvalues(eigs: Sequence[float], top: float = 1.0) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 from itertools import groupby
 from typing import Mapping, Sequence
@@ -30,12 +30,6 @@ MODEL_KINDS = ("CPDI", "DPDI", "CODI", "CPDI_S")
 HAMILTONIAN_MAX_QUBITS = 13  # dense matrix cap, dimension 8192
 
 
-def _require_finite(name, *values):
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-
-
 @dataclass(frozen=True)
 class Vec3:
     """Real 3-vector (field or coupling direction), components in energy units."""
@@ -45,7 +39,8 @@ class Vec3:
     z: float
 
     def __post_init__(self):
-        _require_finite("Vec3 component", self.x, self.y, self.z)
+        for value in (self.x, self.y, self.z):
+            _real(value, "Vec3 component")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -76,8 +71,7 @@ class ContinuousUniform:
     half_width: float
 
     def __post_init__(self):
-        _require_finite("half_width", self.half_width)
-        if self.half_width <= 0:
+        if _real(self.half_width, "half_width") <= 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -93,12 +87,11 @@ class DiscreteUniform:
     support: tuple
 
     def __post_init__(self):
-        support = tuple(float(v) for v in self.support)
+        support = tuple(_real(v, "support") for v in self.support)
         if not support:
             raise ValueError("support must be nonempty")
         if len(set(support)) != len(support):
             raise ValueError(f"support values must be distinct, got {support}")
-        _require_finite("support value", *support)
         object.__setattr__(self, "support", support)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -112,20 +105,37 @@ class PointMass:
     value: float
 
     def __post_init__(self):
-        _require_finite("value", self.value)
+        _real(self.value, "value")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` copies of the value; consumes no generator state."""
         return np.full(size, self.value)
 
 
-# Keys of the model-spec JSON schema, and the parameter key of each source type.
+# Keys of the model-spec JSON schema.
 _SPEC_KEYS = ("label", "n_env", "b0", "sys_env", "intra_env", "env_fields")
-_SOURCE_KEYS = {"const": "value", "uniform": "a", "discrete": "support"}
+
+# The coupling law of each JSON source type, and the key of its one parameter.
+_LAWS = {"const": (PointMass, "value"), "uniform": (ContinuousUniform, "a"),
+         "discrete": (DiscreteUniform, "support")}
+
+# The key of each spec mapping, described once: the fields of its JSON entry
+# in document order, each with the key slots it holds. An axis field holds
+# its slots' x/y/z axes as one string; a site field holds one environment
+# site, or a list of several in increasing order.
+_KEY_FIELDS = {
+    "sys_env": {"axes": (0, 2), "site": (1,)},
+    "intra_env": {"axes": (2, 3), "sites": (0, 1)},
+    "env_fields": {"site": (0,), "component": (1,)},
+}
+_AXIS_FIELDS = ("axes", "component")
 
 
 def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
-    """Raise ValueError naming the first key of a JSON object outside ``allowed``."""
+    """Raise ValueError unless ``doc`` is a JSON object with no key outside
+    ``allowed``, naming the first key that is."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
     for key in doc:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {where}; allowed: {sorted(allowed)}")
@@ -141,16 +151,85 @@ def _integer(value, key: str) -> int:
     raise ValueError(f"{key}: expected an integer, got {value!r}")
 
 
+def _real(value, key: str) -> float:
+    """``value`` as a float; raise ValueError naming ``key`` for a bool, a
+    string, NaN, an infinity or any other value that is not a finite real."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{key}: expected a finite real number, got {value!r}")
+
+
 def _law(kind: str, param):
-    """The coupling law of type ``kind`` with its one parameter: ``const`` a
-    value, ``uniform`` a half-width, ``discrete`` a sequence of values."""
-    if kind == "const":
-        return PointMass(float(param))
-    if kind == "uniform":
-        return ContinuousUniform(float(param))
-    if kind == "discrete":
-        return DiscreteUniform(tuple(param))
-    raise ValueError(f"unknown law type {kind!r}; allowed: {sorted(_SOURCE_KEYS)}")
+    """The coupling law of source type ``kind`` with its one parameter:
+    ``const`` a value, ``uniform`` a half-width, ``discrete`` a sequence of values."""
+    if kind not in _LAWS:
+        raise ValueError(f"unknown law type {kind!r}; allowed: {sorted(_LAWS)}")
+    return _LAWS[kind][0](param)
+
+
+def _source(law) -> dict:
+    """The JSON source object of a coupling law."""
+    for kind, (law_type, key) in _LAWS.items():
+        if type(law) is law_type:
+            (param,) = astuple(law)
+            return {"type": kind, key: list(param) if isinstance(param, tuple) else param}
+
+
+def _source_law(source):
+    """The coupling law of a JSON source object."""
+    kind = source.get("type") if isinstance(source, dict) else None
+    if kind not in _LAWS:
+        raise ValueError(f"source: expected an object of type {sorted(_LAWS)}, got {source!r}")
+    law_type, key = _LAWS[kind]
+    _reject_unknown_keys(source, ("type", key), f"{kind} source")
+    return law_type(source[key])
+
+
+def _check_key(name: str, key, n_env: int) -> tuple:
+    """A key of spec mapping ``name`` with its sites as ints. Raise
+    ValueError, naming the field, for an axis outside x/y/z or for sites that
+    are not integers increasing within 1..n_env."""
+    key, fields = list(key), _KEY_FIELDS[name]
+    if len(key) != sum(map(len, fields.values())):
+        raise ValueError(f"{name} key {tuple(key)!r} does not fill the fields {list(fields)}")
+    for field, slots in fields.items():
+        if field in _AXIS_FIELDS:
+            if any(key[s] not in AXES for s in slots):
+                raise ValueError(f"{name} {field} must be x, y or z, got {[key[s] for s in slots]}")
+            continue
+        bounds = [0, *(_integer(key[s], field) for s in slots), n_env + 1]
+        if any(b <= a for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(f"{name} {field} {bounds[1:-1]} must increase within 1..{n_env}")
+        for s, site in zip(slots, bounds[1:]):
+            key[s] = site
+    return tuple(key)
+
+
+def _entry_key(name: str, entry: dict) -> tuple:
+    """The key of a JSON entry of spec mapping ``name``. Checks only the shape
+    of each field, axes as one string and sites as a list (one site may stand
+    alone), and leaves the values to ``_check_key``."""
+    parts = {}
+    for field, slots in _KEY_FIELDS[name].items():
+        value = entry[field] if field in _AXIS_FIELDS or len(slots) > 1 else [entry[field]]
+        shape = str if field in _AXIS_FIELDS else list
+        if not isinstance(value, shape) or len(value) != len(slots):
+            raise ValueError(f"{name} {field}: expected a {shape.__name__} of length "
+                             f"{len(slots)}, got {entry[field]!r}")
+        parts.update(zip(slots, value))
+    return tuple(parts[s] for s in sorted(parts))
+
+
+def _entry_fields(name: str, key: tuple) -> dict:
+    """The fields of the JSON entry of ``key`` in spec mapping ``name``, but its source."""
+    fields = {}
+    for field, slots in _KEY_FIELDS[name].items():
+        parts = [key[s] for s in slots]
+        if field in _AXIS_FIELDS:
+            fields[field] = "".join(parts)
+        else:
+            fields[field] = parts if len(parts) > 1 else parts[0]
+    return fields
 
 
 def _is_nonzero_law(law) -> bool:
@@ -190,44 +269,12 @@ class ModelSpec:
         n_env = _integer(self.n_env, "n_env")
         if n_env < 1:
             raise ValueError(f"n_env must be >= 1, got {n_env}")
-
-        sys_env = {}
-        for key, law in dict(self.sys_env).items():
-            alpha, site, beta = key
-            site = _integer(site, "site")
-            if alpha not in AXES or beta not in AXES:
-                raise ValueError(f"bad axes in sys_env key {key!r}")
-            if not 1 <= site <= n_env:
-                raise ValueError(f"sys_env site {site} out of range 1..{n_env}")
-            if _is_nonzero_law(law):
-                sys_env[(alpha, site, beta)] = law
-
-        intra_env = {}
-        for key, law in dict(self.intra_env).items():
-            i, j, alpha, beta = key
-            i, j = _integer(i, "sites"), _integer(j, "sites")
-            if alpha not in AXES or beta not in AXES:
-                raise ValueError(f"bad axes in intra_env key {key!r}")
-            if not (1 <= i < j <= n_env):
-                raise ValueError(f"intra_env sites {(i, j)} must satisfy 1 <= i < j <= {n_env}")
-            if _is_nonzero_law(law):
-                intra_env[(i, j, alpha, beta)] = law
-
-        env_fields = {}
-        for key, law in dict(self.env_fields).items():
-            site, comp = key
-            site = _integer(site, "site")
-            if comp not in AXES:
-                raise ValueError(f"bad component in env_fields key {key!r}")
-            if not 1 <= site <= n_env:
-                raise ValueError(f"env_fields site {site} out of range 1..{n_env}")
-            if _is_nonzero_law(law):
-                env_fields[(site, comp)] = law
-
         object.__setattr__(self, "n_env", n_env)
-        object.__setattr__(self, "sys_env", dict(sorted(sys_env.items())))
-        object.__setattr__(self, "intra_env", dict(sorted(intra_env.items())))
-        object.__setattr__(self, "env_fields", dict(sorted(env_fields.items())))
+        for name in _KEY_FIELDS:
+            laws = dict(getattr(self, name))
+            laws = {_check_key(name, key, n_env): law for key, law in laws.items()}
+            kept = sorted((key, law) for key, law in laws.items() if _is_nonzero_law(law))
+            object.__setattr__(self, name, dict(kept))
 
     # -- structural queries used for classification and engine dispatch ----
 
@@ -240,18 +287,10 @@ class ModelSpec:
 
     def is_z_only(self) -> bool:
         """True when the Hamiltonian contains only sigma_z factors (diagonal)."""
-        if self.b0.x != 0.0 or self.b0.y != 0.0:
-            return False
-        for alpha, _, beta in self.sys_env:
-            if alpha != "z" or beta != "z":
-                return False
-        for _, _, alpha, beta in self.intra_env:
-            if alpha != "z" or beta != "z":
-                return False
-        for _, comp in self.env_fields:
-            if comp != "z":
-                return False
-        return True
+        return self.b0.x == 0.0 and self.b0.y == 0.0 and all(
+            key[s] == "z" for name, fields in _KEY_FIELDS.items() for key in getattr(self, name)
+            for field in _AXIS_FIELDS for s in fields.get(field, ())
+        )
 
     def is_branching_form(self) -> bool:
         """True for pure system-environment dephasing, the shape that keeps an
@@ -266,65 +305,33 @@ class ModelSpec:
     # -- JSON schema (documented in the README) ----------------------------
 
     def to_json_dict(self) -> dict:
-        def enc(law):
-            if isinstance(law, PointMass):
-                return {"type": "const", "value": law.value}
-            if isinstance(law, ContinuousUniform):
-                return {"type": "uniform", "a": law.half_width}
-            return {"type": "discrete", "support": list(law.support)}
-
-        return {
-            "label": self.label,
-            "n_env": self.n_env,
-            "b0": [self.b0.x, self.b0.y, self.b0.z],
-            "sys_env": [
-                {"axes": a + b, "site": j, "source": enc(law)}
-                for (a, j, b), law in self.sys_env.items()
-            ],
-            "intra_env": [
-                {"axes": a + b, "sites": [i, j], "source": enc(law)}
-                for (i, j, a, b), law in self.intra_env.items()
-            ],
-            "env_fields": [
-                {"site": i, "component": c, "source": enc(law)}
-                for (i, c), law in self.env_fields.items()
-            ],
-        }
+        doc = {"label": self.label, "n_env": self.n_env, "b0": [self.b0.x, self.b0.y, self.b0.z]}
+        for name in _KEY_FIELDS:
+            doc[name] = [
+                {**_entry_fields(name, key), "source": _source(law)}
+                for key, law in getattr(self, name).items()
+            ]
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
-        def dec(obj):
-            kind = obj.get("type")
-            if kind not in _SOURCE_KEYS:
-                raise ValueError(f"unknown source type {kind!r}")
-            _reject_unknown_keys(obj, ("type", _SOURCE_KEYS[kind]), f"{kind} source")
-            return _law(kind, obj[_SOURCE_KEYS[kind]])
-
-        def entries(name, keys):
-            for entry in doc.get(name, []):
-                _reject_unknown_keys(entry, keys, f"{name} entry")
-                yield entry
-
+        """Assemble a spec from its JSON document; the constructor checks every
+        value, this only the document's shape."""
         _reject_unknown_keys(doc, _SPEC_KEYS, "model spec")
-        sys_env = {}
-        for entry in entries("sys_env", ("axes", "site", "source")):
-            axes = entry["axes"]
-            sys_env[(axes[0], entry["site"], axes[1])] = dec(entry["source"])
-        intra_env = {}
-        for entry in entries("intra_env", ("axes", "sites", "source")):
-            axes = entry["axes"]
-            i, j = entry["sites"]
-            intra_env[(i, j, axes[0], axes[1])] = dec(entry["source"])
-        env_fields = {}
-        for entry in entries("env_fields", ("site", "component", "source")):
-            env_fields[(entry["site"], entry["component"])] = dec(entry["source"])
+        mappings = {}
+        for name, fields in _KEY_FIELDS.items():
+            mappings[name] = {}
+            for entry in doc.get(name, []):
+                _reject_unknown_keys(entry, (*fields, "source"), f"{name} entry")
+                mappings[name][_entry_key(name, entry)] = _source_law(entry["source"])
+        b0 = doc.get("b0", [0.0, 0.0, 0.0])
+        if not isinstance(b0, list) or len(b0) != 3:
+            raise ValueError(f"b0: expected a list of 3 numbers, got {b0!r}")
         return cls(
             label=str(doc.get("label", "")),
             n_env=doc["n_env"],
-            b0=Vec3.from_array(doc.get("b0", [0.0, 0.0, 0.0])),
-            sys_env=sys_env,
-            intra_env=intra_env,
-            env_fields=env_fields,
+            b0=Vec3(*(_real(v, "b0") for v in b0)),
+            **mappings,
         )
 
     def to_json(self) -> str:
@@ -452,11 +459,11 @@ def build_model(
     kind = canonical_kind(kind)
     if n_env < 1:
         raise ValueError(f"n_env must be >= 1, got {n_env}")
-    if half_width <= 0:
+    if _real(half_width, "half_width") <= 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
-    if scramble_half_width < 0:
+    if _real(scramble_half_width, "scramble_half_width") < 0:
         raise ValueError(f"scramble_half_width must be >= 0, got {scramble_half_width}")
-    support = tuple(float(v) for v in support)
+    support = tuple(_real(v, "support") for v in support)
     if kind == "DPDI":
         coupling = DiscreteUniform(support)  # validates support
     else:
@@ -537,7 +544,7 @@ def classify(instance: ModelInstance, continuous_support: bool, tol: float = 1e-
     largest coupling magnitude. All tests are relative, so the verdict is
     invariant under rescaling the instance.
     """
-    if tol <= 0:
+    if _real(tol, "tol") <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     m = instance.sys_env_matrix()
     direction = None

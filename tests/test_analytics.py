@@ -85,8 +85,9 @@ class TestAveragedGamma:
             assert np.min(values) >= 2 * floor - 1 - 1e-12
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            q.averaged_gamma_squared(UNIFORM, 1.2, 1.0)
+        for alpha_sq in (1.2, float("nan")):
+            with pytest.raises(ValueError):
+                q.averaged_gamma_squared(UNIFORM, alpha_sq, 1.0)
 
     def test_curve_factory(self):
         curve = q.averaged_gamma_curve(UNIFORM, 0.5, np.linspace(0, 5, 11))
@@ -149,8 +150,11 @@ class TestMaxSystemEntropy:
     def test_domain(self):
         with pytest.raises(ValueError):
             q.max_system_entropy(1.5)
+        for p in (-0.2, float("nan"), np.array([0.5, float("nan")])):
+            with pytest.raises(ValueError):
+                q.binary_entropy(p)
         with pytest.raises(ValueError):
-            q.binary_entropy(-0.2)
+            q.max_system_entropy(float("nan"))
 
 
 class TestWeakDecoherenceFormulas:

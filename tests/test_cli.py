@@ -85,12 +85,34 @@ class TestClassifyCommand:
             ("sites", lambda d: d["intra_env"].append(
                 {"axes": "zz", "sites": [1, 2.5], "source": {"type": "const", "value": 1.0}}
             )),
+            # axes are one two-letter string, never cut short or truncated
+            ("axes", lambda d: d["sys_env"][0].update(axes="z")),
+            ("axes", lambda d: d["sys_env"][0].update(axes="zzz")),
+            ("axes", lambda d: d["sys_env"][0].update(axes=["z"])),
+            ("axes", lambda d: d["sys_env"][0].update(axes=["z", "z"])),
+            # a string, a bool or NaN is not a real number
+            ("half_width", lambda d: d["sys_env"][0].update(source={"type": "uniform", "a": "1"})),
+            ("half_width", lambda d: d["sys_env"][0].update(
+                source={"type": "uniform", "a": float("nan")}
+            )),
+            ("value", lambda d: d["sys_env"][0].update(source={"type": "const", "value": True})),
+            ("support", lambda d: d["sys_env"][0].update(
+                source={"type": "discrete", "support": "15"}
+            )),
+            ("b0", lambda d: d.update(b0=["0", 0.0, 0.0])),
+            ("b0", lambda d: d.update(b0=[0.0, float("nan"), 0.0])),
         ):
             doc = json.loads(json.dumps(spec))
             edit(doc)
             bad.write_text(json.dumps(doc))
             assert main(["classify", "--config", str(bad)]) == 2
             assert key in capsys.readouterr().err
+
+        # a relative tolerance must be a finite positive number
+        good = write_model_config(tmp_path, "CPDI")
+        for tol in ("nan", "inf"):
+            assert main(["classify", "--config", good, "--tol", tol]) == 2
+            assert "tol" in capsys.readouterr().err
 
 
 class TestFig2Command:
@@ -132,6 +154,15 @@ class TestGammaCommand:
     def test_bad_dist_is_usage_error(self, capsys):
         assert main(["gamma", "--dist", "gauss:1", "--alpha2", "0.5", "--tmax", "1", "--steps", "2"]) == 2
         assert main(["gamma", "--dist", "uniform", "--alpha2", "0.5", "--tmax", "1", "--steps", "2"]) == 2
+        # NaN fails every range check
+        for dist, alpha2, tmax, key in (
+            ("uniform:nan", "0.5", "1", "half_width"), ("discrete:1,nan", "0.5", "1", "support"),
+            ("uniform:1", "nan", "1", "alpha_sq"), ("uniform:1", "0.5", "nan", "tmax"),
+            ("uniform:1", "0.5", "inf", "tmax"),
+        ):
+            argv = ["gamma", "--dist", dist, "--alpha2", alpha2, "--tmax", tmax, "--steps", "2"]
+            assert main(argv) == 2
+            assert key in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -227,9 +258,22 @@ class TestSweepCommand:
         for key, value in (
             ("realizations", 2.7), ("n_env", True), ("master_seed", 1.5),
             ("subsets_per_realization", "2"), ("fragment_sizes", [0, 1.5]),
+            # a string, a bool or NaN is not a real number
+            ("time_grid", "0123"), ("time_grid", [False, True, 2]),
+            ("time_grid", [0.0, float("nan")]),
         ):
             config = write_sweep_config(tmp_path, **{key: value})
             assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+            assert key in capsys.readouterr().err
+        for key, value in (
+            ("support", "15"), ("half_width", True), ("scramble_half_width", float("nan")),
+        ):
+            config = write_sweep_config(tmp_path, overrides={key: value})
+            assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+            assert key in capsys.readouterr().err
+        out = str(tmp_path / "x.csv")
+        for flag, key in (("--scramble", "scramble_half_width"), ("--half-width", "half_width")):
+            assert main(["fig3", "--model", "CPDI-S", flag, "nan", "--out", out]) == 2
             assert key in capsys.readouterr().err
         # an integral float is an integer
         config = write_sweep_config(tmp_path, realizations=2.0, fragment_sizes=[0.0, 3.0])

@@ -54,6 +54,22 @@ class TestReducedDensity:
         with pytest.raises(ValueError):
             q.reduced_density(psi, [3])
 
+    def test_edge_normalized_state_has_unit_trace(self):
+        # ||psi|| = 1 + 8e-10 passes the state's own 1e-9 check, so its
+        # reductions must pass DensityMatrix's 1e-9 trace check
+        product = q.dense_product_state(q.random_product_state(5, 3))
+        edge = q.PureState(5, product.amplitudes * (1.0 + 8e-10))
+        for keep in ((0,), (0, 1), (1, 2, 3)):
+            rho = q.reduced_density(edge, keep)
+            assert abs(np.trace(rho.matrix).real - 1.0) < 1e-15
+            assert abs(q.von_neumann_entropy(rho) - q.subsystem_entropy(edge, keep)) < 1e-12
+        assert q.holevo_grid_oracle(edge, [1], 16) == pytest.approx(0.0, abs=1e-9)
+        # a state of unit norm keeps the bits of its reduction
+        pair = q.PureState(2, [0.6, 0.0, 0.0, 0.8j])
+        assert pair.norm_sq == 1.0
+        m = information._partition_matrix(pair, (0,))  # rows on the kept qubit
+        assert np.array_equal(q.reduced_density(pair, (0,)).matrix, m @ m.conj().T)
+
 
 class TestCutPlan:
     @settings(max_examples=40)

@@ -56,6 +56,13 @@ class TestBuildModel:
             q.build_model("DPDI", 4, support=(1.0, 1.0))
         with pytest.raises(ValueError):
             q.build_model("CPDI_S", 4, scramble_half_width=-0.1)
+        # a string, a bool or NaN is not a real number
+        for key, value in (
+            ("scramble_half_width", float("nan")), ("half_width", True), ("half_width", "1"),
+            ("support", "15"), ("support", (1.0, float("nan"))),
+        ):
+            with pytest.raises(ValueError, match=key):
+                q.build_model("CPDI_S", 4, **{key: value})
 
     def test_scramble_zero_disables_intra(self):
         spec = q.build_model("CPDI_S", 4, scramble_half_width=0.0)
