@@ -13,8 +13,8 @@ Conventions shared by every module:
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import sys
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -112,9 +112,6 @@ class PointMass:
         return np.full(size, self.value)
 
 
-# Keys of the model-spec JSON schema.
-_SPEC_KEYS = ("label", "n_env", "b0", "sys_env", "intra_env", "env_fields")
-
 # The coupling law of each JSON source type, and the key of its one parameter.
 _LAWS = {"const": (PointMass, "value"), "uniform": (ContinuousUniform, "a"),
          "discrete": (DiscreteUniform, "support")}
@@ -129,6 +126,7 @@ _KEY_FIELDS = {
     "env_fields": {"site": (0,), "component": (1,)},
 }
 _AXIS_FIELDS = ("axes", "component")
+_SPEC_KEYS = ("label", "n_env", "b0", *_KEY_FIELDS)  # keys of the model-spec JSON schema
 
 
 def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
@@ -153,9 +151,11 @@ def _integer(value, key: str) -> int:
 
 def _real(value, key: str) -> float:
     """``value`` as a float; raise ValueError naming ``key`` for a bool, a
-    string, NaN, an infinity or any other value that is not a finite real."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
+    string, NaN, an infinity, an integer beyond the float range or any other
+    value that is not a finite real."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # NaN fails too
+            return float(value)
     raise ValueError(f"{key}: expected a finite real number, got {value!r}")
 
 

@@ -260,7 +260,7 @@ class TestSweepCommand:
             ("subsets_per_realization", "2"), ("fragment_sizes", [0, 1.5]),
             # a string, a bool or NaN is not a real number
             ("time_grid", "0123"), ("time_grid", [False, True, 2]),
-            ("time_grid", [0.0, float("nan")]),
+            ("time_grid", [0.0, float("nan")]), ("time_grid", [0, 10**400]),
         ):
             config = write_sweep_config(tmp_path, **{key: value})
             assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2

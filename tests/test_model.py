@@ -149,6 +149,9 @@ class TestSourcesAndSpec:
             q.ModelSpec("t", 3, q.Vec3.zero(), {}, {(2, 2, "z", "z"): q.PointMass(1.0)}, {})
         with pytest.raises(ValueError):
             q.ModelSpec("t", 1, q.Vec3.zero(), {}, {}, {(1, "q"): q.PointMass(1.0)})
+        for key in (("z", 1), ("z", 1, "z", "z")):  # a slot short or one too many
+            with pytest.raises(ValueError, match="sys_env"):
+                q.ModelSpec("t", 1, q.Vec3.zero(), {key: q.PointMass(1.0)}, {}, {})
 
     def test_non_integral_indices_rejected(self):
         law = q.PointMass(1.0)
