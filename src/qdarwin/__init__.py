@@ -41,7 +41,6 @@ from .experiments import (
 )
 from .information import (
     DensityMatrix,
-    FragmentSpec,
     fragment_decoherence_factor,
     holevo_branching,
     holevo_grid_oracle,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ContinuousUniform, DiscreteUniform, PointMass
+from .model import ContinuousUniform, DiscreteUniform, PointMass, _real, _sites
 
 _LN2 = math.log(2.0)
 
@@ -47,11 +47,11 @@ def characteristic_function(dist, k):
     return complex(out) if out.ndim == 0 else out
 
 
-def _check_unit_interval(name, value):
-    arr = np.asarray(value, dtype=float)
-    if not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):  # NaN fails too
+def _check_unit_interval(name, value) -> float:
+    x = _real(value, name)
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return arr
+    return x
 
 
 def averaged_gamma_squared(dist, alpha_sq, t):
@@ -61,8 +61,7 @@ def averaged_gamma_squared(dist, alpha_sq, t):
     characteristic function of the coupling; 1 at t = 0, and for continuous
     couplings it decays to a^4 + b^4 as t grows. Scalar or array ``t``.
     """
-    a2 = float(alpha_sq)
-    _check_unit_interval("alpha_sq", a2)
+    a2 = _check_unit_interval("alpha_sq", alpha_sq)
     b2 = 1.0 - a2
     re = np.real(characteristic_function(dist, 4.0 * np.asarray(t, dtype=float)))
     out = a2 * a2 + b2 * b2 + 2.0 * a2 * b2 * re
@@ -71,8 +70,7 @@ def averaged_gamma_squared(dist, alpha_sq, t):
 
 def gamma_squared_floor(alpha_sq) -> float:
     """Long-time value of the averaged squared decoherence factor for one site."""
-    a2 = float(alpha_sq)
-    _check_unit_interval("alpha_sq", a2)
+    a2 = _check_unit_interval("alpha_sq", alpha_sq)
     return a2 * a2 + (1.0 - a2) * (1.0 - a2)
 
 
@@ -112,7 +110,7 @@ def weak_decoherence_slope(alpha0_sq) -> float:
     Evaluates 4x(1-x) artanh(1-2x) / (1-2x) / ln 2; near x = 1/2 the removable
     singularity is handled by the series artanh(u)/u = 1 + u^2/3 + u^4/5.
     """
-    x = float(alpha0_sq)
+    x = _real(alpha0_sq, "alpha0_sq")
     if not 0.0 < x < 1.0:
         raise ValueError(f"alpha0_sq must lie strictly inside (0, 1), got {x}")
     u = 1.0 - 2.0 * x
@@ -125,7 +123,7 @@ def weak_decoherence_slope(alpha0_sq) -> float:
 
 def max_system_entropy(alpha0_sq) -> float:
     """Entropy (bits) of the fully decohered system qubit."""
-    return binary_entropy(_check_unit_interval("alpha0_sq", float(alpha0_sq)))
+    return binary_entropy(_check_unit_interval("alpha0_sq", alpha0_sq))
 
 
 def _first_order(alpha0_sq, x) -> float:
@@ -137,29 +135,19 @@ def _first_order(alpha0_sq, x) -> float:
 def weak_decoherence_mutual_info(gamma_sq, gamma_f_sq, gamma_fbar_sq, alpha0_sq) -> float:
     """Mutual information for small decoherence factors:
     S_max - slope/2 * (|Gamma|^2 + |Gamma_F|^2 - |Gamma_Fbar|^2)."""
-    g = float(_check_unit_interval("gamma_sq", gamma_sq))
-    gf = float(_check_unit_interval("gamma_f_sq", gamma_f_sq))
-    gfb = float(_check_unit_interval("gamma_fbar_sq", gamma_fbar_sq))
+    g = _check_unit_interval("gamma_sq", gamma_sq)
+    gf = _check_unit_interval("gamma_f_sq", gamma_f_sq)
+    gfb = _check_unit_interval("gamma_fbar_sq", gamma_fbar_sq)
     return _first_order(alpha0_sq, g + gf - gfb)
 
 
 def weak_decoherence_holevo(gamma_f_sq, alpha0_sq) -> float:
     """Holevo quantity for small decoherence factors: S_max - slope/2 * |Gamma_F|^2."""
-    gf = float(_check_unit_interval("gamma_f_sq", gamma_f_sq))
-    return _first_order(alpha0_sq, gf)
-
-
-def _check_fragment_size(n, n_env=None):
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"fragment size must be >= 0, got {n}")
-    if n_env is not None and n > int(n_env):
-        raise ValueError(f"fragment size {n} exceeds environment size {n_env}")
-    return n
+    return _first_order(alpha0_sq, _check_unit_interval("gamma_f_sq", gamma_f_sq))
 
 
 def _check_mean_floor(mean_floor):
-    mf = float(mean_floor)
+    mf = _real(mean_floor, "mean_floor")
     if not 0.0 < mf < 1.0:
         raise ValueError(f"mean_floor must lie strictly inside (0, 1), got {mf}")
     return mf
@@ -174,8 +162,8 @@ def asymptotic_mutual_info(n, n_env, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
     but reaches ~0.017 at min(n, N-n) = 3). The default m = 2/3 is the
     long-time floor; at finite t with uniform initial weights the mean floor
     is 2/3 + Re f(4t)/3, f the coupling's characteristic function."""
-    n = _check_fragment_size(n, n_env)
-    n_env = int(n_env)
+    (n_env,) = _sites([n_env], 0, math.inf, "n_env")
+    (n,) = _sites([n], 0, n_env, "fragment size")
     mf = _check_mean_floor(mean_floor)
     return _first_order(alpha0_sq, mf ** n_env + mf ** n - mf ** (n_env - n))
 
@@ -188,6 +176,6 @@ def asymptotic_holevo(n, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
     default m = 2/3 is the long-time floor; at finite t with uniform initial
     weights the mean floor is 2/3 + Re f(4t)/3, f the coupling's
     characteristic function."""
-    n = _check_fragment_size(n)
+    (n,) = _sites([n], 0, math.inf, "fragment size")
     mf = _check_mean_floor(mean_floor)
     return _first_order(alpha0_sq, mf ** n)

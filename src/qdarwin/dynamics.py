@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelInstance, _as_rng, hamiltonian_matrix
+from .model import ModelInstance, _as_rng, _real, _sites, hamiltonian_matrix
 
 DIAGONAL_MAX_QUBITS = 26  # memory guardrail for the phase-vector engine
 
@@ -113,8 +113,8 @@ class BranchingState:
         if fields.shape != (coeffs.shape[0],):
             raise ValueError("fields must hold one coupling per environment site")
         _check_site_norms(coeffs)
-        t = float(self.time)
-        if not np.isfinite(t) or t < 0:
+        t = _real(self.time, "time")
+        if t < 0:
             raise ValueError(f"time must be finite and >= 0, got {t}")
         object.__setattr__(self, "alpha0", a0)
         object.__setattr__(self, "beta0", b0)
@@ -134,9 +134,7 @@ class BranchingState:
         """Product of site overlaps over ``sites`` (default: full environment)."""
         if sites is None:
             sites = range(1, self.n_env + 1)
-        idx = np.array([int(s) for s in sites], dtype=int) - 1
-        if np.any((idx < 0) | (idx >= self.n_env)):
-            raise ValueError(f"sites {(idx + 1).tolist()} out of range 1..{self.n_env}")
+        idx = np.array(_sites(sites, 1, self.n_env, "sites"), dtype=int) - 1
         gam = _site_overlaps(self.site_coeffs[idx], self.fields[idx], np.array([self.time]))
         return complex(np.prod(gam[0]))
 

@@ -10,16 +10,18 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .analytics import binary_entropy
 from .dynamics import BranchingState, PureState, _site_overlaps
+from .model import _integer, _sites
 
 _EIG_TOL = 1e-9
 _CUT_CACHE_SIZE = 1024
 _GRAM_BLOCK_BYTES = 1 << 20  # bound on the state slice a Gram block reads at once
+_PLAIN_INT = frozenset((int,))
 
 
 class NumericalError(ValueError):
@@ -55,40 +57,6 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
 
-@dataclass(frozen=True)
-class FragmentSpec:
-    """Ordered, distinct environment-site indices (1-based)."""
-
-    sites: tuple
-
-    def __post_init__(self):
-        sites = tuple(int(s) for s in self.sites)
-        if len(set(sites)) != len(sites):
-            raise ValueError(f"fragment sites must be distinct, got {sites}")
-        if any(s < 1 for s in sites):
-            raise ValueError(f"fragment sites must be >= 1, got {sites}")
-        object.__setattr__(self, "sites", sites)
-
-    def __len__(self):
-        return len(self.sites)
-
-    def __iter__(self):
-        return iter(self.sites)
-
-    def complement(self, n_env: int) -> "FragmentSpec":
-        return FragmentSpec(tuple(s for s in range(1, n_env + 1) if s not in self.sites))
-
-
-Fragment = Union[FragmentSpec, Sequence[int]]
-
-
-def _fragment_sites(frag: Fragment, n_env: int) -> tuple:
-    sites = FragmentSpec(tuple(frag)).sites
-    if any(s > n_env for s in sites):
-        raise ValueError(f"fragment sites {sites} exceed environment size {n_env}")
-    return sites
-
-
 class _CutPlan(NamedTuple):
     """Axis plan of a (keep | rest) cut; see ``_cut``."""
 
@@ -113,14 +81,10 @@ def _cut(n: int, keep: tuple) -> _CutPlan:
     matrix. A state larger than ``_GRAM_BLOCK_BYTES`` is cut into blocks, each
     fixing the larger side's most significant axes, so that the Gram is
     summed block by block without a full copy of the state. ``keep`` may hold
-    any integers; they are converted here, once per plan. Bad keeps raise on
-    every call (exceptions are not cached).
+    any integers; ``_sites`` checks and converts them here, once per plan. Bad
+    keeps raise on every call (exceptions are not cached).
     """
-    keep = [int(q) for q in keep]
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"kept qubits must be distinct, got {keep}")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"kept qubits {keep} out of range 0..{n - 1}")
+    keep = _sites(keep, 0, n - 1, "kept qubits")
     kept = [n - 1 - q for q in reversed(keep)]
     rest = [a for a in range(n) if a not in kept]
     on_keep = len(kept) <= len(rest)
@@ -174,7 +138,7 @@ def _blocked_gram(psi: PureState, keep: tuple) -> np.ndarray:
 def reduced_density(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
     """Partial trace of |psi><psi| / ||psi||^2 over every qubit not listed in
     ``keep``, so a state at the edge of its own norm check has unit trace."""
-    keep = tuple(keep)
+    keep = _sites(keep, 0, psi.n_qubits - 1, "kept qubits")
     m = _partition_matrix(psi, keep)
     if not _cut(psi.n_qubits, keep).on_keep:
         m = m.T  # rows back on the kept qubits
@@ -225,6 +189,10 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
     Gram summed block by block, so the cut never copies the whole state.
     """
     keep = keep if type(keep) is tuple else tuple(keep)  # the plan's cache key
+    # The plan cache compares keys by value, so True or 1 + 0j would share the
+    # checked plan of 1: only a key of plain ints skips the check on a hit.
+    if not _PLAIN_INT.issuperset(map(type, keep)):
+        keep = _sites(keep, 0, psi.n_qubits - 1, "kept qubits")
     d = _cut(psi.n_qubits, keep).shape[0]
     if d == 1:
         return 0.0
@@ -241,31 +209,36 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
     return _entropy_from_eigenvalues((mid - half_gap, mid + half_gap), psi.norm_sq)
 
 
-def mutual_information(psi: PureState, frag: Fragment) -> float:
+def mutual_information(psi: PureState, frag: Sequence[int]) -> float:
     """I(S:F) = S_S + S_F - S_SF in bits for the system qubit and a fragment."""
-    sites = _fragment_sites(frag, psi.n_qubits - 1)
-    s_s = subsystem_entropy(psi, [0])
-    s_f = subsystem_entropy(psi, list(sites))
-    s_sf = subsystem_entropy(psi, [0, *sites])
+    sites = _sites(frag, 1, psi.n_qubits - 1, "fragment sites")
+    s_s = subsystem_entropy(psi, (0,))
+    s_f = subsystem_entropy(psi, sites)
+    s_sf = subsystem_entropy(psi, (0, *sites))
     return s_s + s_f - s_sf
 
 
-def fragment_decoherence_factor(bs: BranchingState, frag: Fragment) -> complex:
+def fragment_decoherence_factor(bs: BranchingState, frag: Sequence[int]) -> complex:
     """Product of the branch overlaps over the fragment's sites."""
-    sites = _fragment_sites(frag, bs.n_env)
-    return bs.overlap(sites)
+    return bs.overlap(_sites(frag, 1, bs.n_env, "fragment sites"))
 
 
 def _rank2_entropy(weight, x) -> np.ndarray:
     """Entropy (bits) of a rank-<=2 reduction of a branching state, whose
-    eigenvalues are (1 +- sqrt(1 - 4 w x)) / 2 with w = |alpha0|^2 |beta0|^2.
+    eigenvalues are (1 +- sqrt(1 - 4 w x)) / 2 with w = |alpha0|^2 |beta0|^2,
+    for numpy ``weight`` and ``x`` that broadcast. Raises NumericalError when
+    the radicand 1 - 4 w x leaves [0, 1] beyond ``_EIG_TOL``; inside it, the
+    radicand is clamped to [0, 1].
 
     x = 1 - |Gamma|^2 gives the entropy of a block whose two branch components
     have squared overlap |Gamma|^2; x = |Gamma_F|^2 - |Gamma|^2 gives the
     conditional term of the Holevo quantity.
     """
-    radicand = np.clip(1.0 - 4.0 * weight * x, 0.0, 1.0)
-    return binary_entropy(0.5 * (1.0 + np.sqrt(radicand)))
+    radicand = 1.0 - 4.0 * weight * x
+    lo, hi = radicand.min(), radicand.max()
+    if not (lo >= -_EIG_TOL and hi <= 1.0 + _EIG_TOL):  # NaN fails too
+        raise NumericalError(f"radicand 1 - 4wx out of [0, 1] beyond tolerance: [{lo}, {hi}]")
+    return binary_entropy(0.5 * (1.0 + np.sqrt(np.clip(radicand, 0.0, 1.0))))
 
 
 def _closed_form_tables(weights, site_coeffs, fields, times, masks):
@@ -314,14 +287,14 @@ def _closed_form_tables(weights, site_coeffs, fields, times, masks):
     return i_vals, chi_vals, s_sys
 
 
-def holevo_branching(bs: BranchingState, frag: Fragment) -> float:
+def holevo_branching(bs: BranchingState, frag: Sequence[int]) -> float:
     """Holevo quantity (bits) of a fragment of a singly-branching state.
 
     Closed form in the squared overlaps of the full environment and of the
     fragment; exact for branching states (checked against the measurement
     oracle below for single-site fragments).
     """
-    sites = _fragment_sites(frag, bs.n_env)
+    sites = _sites(frag, 1, bs.n_env, "fragment sites")
     mask = np.isin(np.arange(1, bs.n_env + 1), sites)[None, None, None]
     _, chi, _ = _closed_form_tables(
         [abs(bs.alpha0) ** 2 * abs(bs.beta0) ** 2],
@@ -333,7 +306,7 @@ def holevo_branching(bs: BranchingState, frag: Fragment) -> float:
     return float(chi[0, 0, 0])
 
 
-def holevo_grid_oracle(psi: PureState, frag: Fragment, resolution: int = 64) -> float:
+def holevo_grid_oracle(psi: PureState, frag: Sequence[int], resolution: int = 64) -> float:
     """Variational Holevo quantity for a single-site fragment, minimizing the
     post-measurement system entropy over a grid of projective measurements.
 
@@ -341,10 +314,10 @@ def holevo_grid_oracle(psi: PureState, frag: Fragment, resolution: int = 64) -> 
     ``resolution`` midpoints of [0, pi] and phi at ``2 * resolution`` points
     of [0, 2*pi); the result is a lower bound on the true Holevo quantity.
     """
-    sites = _fragment_sites(frag, psi.n_qubits - 1)
+    sites = _sites(frag, 1, psi.n_qubits - 1, "fragment sites")
     if len(sites) != 1:
         raise ValueError(f"the measurement oracle handles single-site fragments, got {sites}")
-    resolution = int(resolution)
+    resolution = _integer(resolution, "resolution")
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
 
@@ -384,7 +357,7 @@ def holevo_grid_oracle(psi: PureState, frag: Fragment, resolution: int = 64) -> 
     return float(s_s - np.min(avg))
 
 
-def quantum_discord(psi: PureState, bs: BranchingState, frag: Fragment) -> float:
+def quantum_discord(psi: PureState, bs: BranchingState, frag: Sequence[int]) -> float:
     """D = I(S:F) - Holevo(S:F) in bits; ``psi`` must be the dense expansion
     of ``bs``."""
     return mutual_information(psi, frag) - holevo_branching(bs, frag)

@@ -149,6 +149,17 @@ def _integer(value, key: str) -> int:
     raise ValueError(f"{key}: expected an integer, got {value!r}")
 
 
+def _sites(values, lo, hi, key: str) -> tuple:
+    """``values`` as a tuple of distinct ints within lo..hi, each through
+    ``_integer``; raise ValueError naming ``key`` for anything else."""
+    sites = tuple(_integer(v, key) for v in values)
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"{key} must be distinct, got {list(sites)}")
+    if any(not lo <= s <= hi for s in sites):
+        raise ValueError(f"{key} {list(sites)} out of range {lo}..{hi}")
+    return sites
+
+
 def _real(value, key: str) -> float:
     """``value`` as a float; raise ValueError naming ``key`` for a bool, a
     string, NaN, an infinity, an integer beyond the float range or any other
@@ -266,6 +277,8 @@ class ModelSpec:
     env_fields: Mapping
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError(f"label: expected a string, got {self.label!r}")
         n_env = _integer(self.n_env, "n_env")
         if n_env < 1:
             raise ValueError(f"n_env must be >= 1, got {n_env}")
@@ -323,12 +336,15 @@ class ModelSpec:
             mappings[name] = {}
             for entry in doc.get(name, []):
                 _reject_unknown_keys(entry, (*fields, "source"), f"{name} entry")
-                mappings[name][_entry_key(name, entry)] = _source_law(entry["source"])
+                key = _entry_key(name, entry)
+                if key in mappings[name]:  # tuple equality: site 1 and 1.0 are one key
+                    raise ValueError(f"{name}: repeated entry for key {key!r}")
+                mappings[name][key] = _source_law(entry["source"])
         b0 = doc.get("b0", [0.0, 0.0, 0.0])
         if not isinstance(b0, list) or len(b0) != 3:
             raise ValueError(f"b0: expected a list of 3 numbers, got {b0!r}")
         return cls(
-            label=str(doc.get("label", "")),
+            label=doc.get("label", ""),
             n_env=doc["n_env"],
             b0=Vec3(*(_real(v, "b0") for v in b0)),
             **mappings,

@@ -88,6 +88,12 @@ class TestAveragedGamma:
         for alpha_sq in (1.2, float("nan")):
             with pytest.raises(ValueError):
                 q.averaged_gamma_squared(UNIFORM, alpha_sq, 1.0)
+        # a string or a bool is not a real number
+        for alpha_sq in ("0.5", True):
+            with pytest.raises(ValueError, match="alpha_sq"):
+                q.averaged_gamma_squared(UNIFORM, alpha_sq, 1.0)
+            with pytest.raises(ValueError, match="alpha_sq"):
+                q.gamma_squared_floor(alpha_sq)
 
     def test_curve_factory(self):
         curve = q.averaged_gamma_curve(UNIFORM, 0.5, np.linspace(0, 5, 11))
@@ -155,6 +161,11 @@ class TestMaxSystemEntropy:
                 q.binary_entropy(p)
         with pytest.raises(ValueError):
             q.max_system_entropy(float("nan"))
+        for alpha0_sq in ("0.5", True):
+            with pytest.raises(ValueError, match="alpha0_sq"):
+                q.max_system_entropy(alpha0_sq)
+            with pytest.raises(ValueError, match="alpha0_sq"):
+                q.weak_decoherence_slope(alpha0_sq)
 
 
 class TestWeakDecoherenceFormulas:
@@ -174,6 +185,20 @@ class TestWeakDecoherenceFormulas:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             q.weak_decoherence_holevo(1.4, 0.5)
+        # a string or a bool is not a real number, in any argument
+        for bad in ("0.1", True):
+            for name, args in (
+                ("gamma_sq", (bad, 0.1, 0.1, 0.5)),
+                ("gamma_f_sq", (0.1, bad, 0.1, 0.5)),
+                ("gamma_fbar_sq", (0.1, 0.1, bad, 0.5)),
+                ("alpha0_sq", (0.1, 0.1, 0.1, bad)),
+            ):
+                with pytest.raises(ValueError, match=name):
+                    q.weak_decoherence_mutual_info(*args)
+            with pytest.raises(ValueError, match="gamma_f_sq"):
+                q.weak_decoherence_holevo(bad, 0.5)
+            with pytest.raises(ValueError, match="mean_floor"):
+                q.asymptotic_holevo(2, 0.5, mean_floor=bad)
 
 
 class TestAsymptotics:

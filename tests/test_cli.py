@@ -101,6 +101,11 @@ class TestClassifyCommand:
             )),
             ("b0", lambda d: d.update(b0=["0", 0.0, 0.0])),
             ("b0", lambda d: d.update(b0=[0.0, float("nan"), 0.0])),
+            # a repeated entry must not replace the first; site 1.0 is site 1
+            ("sys_env", lambda d: d["sys_env"].append(
+                {"axes": "zz", "site": 1.0, "source": {"type": "const", "value": 5.0}}
+            )),
+            ("label", lambda d: d.update(label={"type": 1})),
         ):
             doc = json.loads(json.dumps(spec))
             edit(doc)

@@ -437,6 +437,13 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             bs.site_overlap(4)
 
+    def test_branching_time_is_a_real_number(self):
+        init = q.random_product_state(3, 2)
+        for bad in ("1.5", True, float("nan"), -1.0):
+            with pytest.raises(ValueError, match="time"):
+                q.evolve_branching(init, [0.3, -0.7], bad)
+        assert q.evolve_branching(init, [0.3, -0.7], np.float64(1.5)).time == 1.5
+
     def test_align_global_phase(self):
         psi = q.dense_product_state(q.random_product_state(3, 5))
         rotated = q.PureState(3, psi.amplitudes * np.exp(0.7j))

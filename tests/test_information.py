@@ -337,14 +337,69 @@ class TestMutualInformation:
         assert q.mutual_information(psi, [1, 2, 3, 4]) == pytest.approx(2 * s_s, abs=1e-9)
 
     def test_fragment_spec_type(self):
+        # a fragment is any sequence of distinct integral sites
         psi = q.branching_to_dense(bell_branching())
-        frag = q.FragmentSpec((1,))
-        assert q.mutual_information(psi, frag) == pytest.approx(2.0, abs=1e-9)
-        assert q.FragmentSpec((2, 4)).complement(5) == q.FragmentSpec((1, 3, 5))
-        with pytest.raises(ValueError):
-            q.FragmentSpec((1, 1))
-        with pytest.raises(ValueError):
-            q.mutual_information(psi, [2])  # out of range for one environment site
+        for frag in ((1,), [1], np.array([1]), [np.int64(1)], [1.0]):
+            assert q.mutual_information(psi, frag) == pytest.approx(2.0, abs=1e-9)
+
+
+SITES_BS = random_branching(np.random.default_rng(11), 3)
+SITES_PSI = q.branching_to_dense(SITES_BS)
+
+# every entry point that takes a site list, with the argument its errors name
+SITE_LIST_CALLS = {
+    "mutual_information": (lambda s: q.mutual_information(SITES_PSI, s), "fragment sites"),
+    "fragment_decoherence_factor": (
+        lambda s: q.fragment_decoherence_factor(SITES_BS, s), "fragment sites"
+    ),
+    "holevo_branching": (lambda s: q.holevo_branching(SITES_BS, s), "fragment sites"),
+    "holevo_grid_oracle": (
+        lambda s: q.holevo_grid_oracle(SITES_PSI, s, resolution=16), "fragment sites"
+    ),
+    "quantum_discord": (lambda s: q.quantum_discord(SITES_PSI, SITES_BS, s), "fragment sites"),
+    "subsystem_entropy": (lambda s: q.subsystem_entropy(SITES_PSI, s), "kept qubits"),
+    "reduced_density": (lambda s: q.reduced_density(SITES_PSI, s).matrix, "kept qubits"),
+    "BranchingState.overlap": (lambda s: SITES_BS.overlap(s), "sites"),
+}
+# the entry points that take one size or count
+SIZE_CALLS = {
+    "asymptotic_mutual_info size": (lambda n: q.asymptotic_mutual_info(n, 3, 0.5), "fragment size"),
+    "asymptotic_holevo size": (lambda n: q.asymptotic_holevo(n, 0.5), "fragment size"),
+    "asymptotic_mutual_info n_env": (lambda n: q.asymptotic_mutual_info(0, n, 0.5), "n_env"),
+}
+BAD_SITES = {"non-integral": 1.5, "bool": True, "string": "1", "complex": 1 + 0j}
+
+
+def site_cases():
+    for name, (call, arg) in SITE_LIST_CALLS.items():
+        cases = {kind: [value] for kind, value in BAD_SITES.items()}
+        cases.update({"repeated": [1, 1], "out of range": [4]})  # 3 environment sites
+        for kind, sites in cases.items():
+            yield pytest.param(call, arg, [1], sites, id=f"{name}-{kind}")
+    for name, (call, arg) in SIZE_CALLS.items():
+        for kind, value in {**BAD_SITES, "out of range": -1}.items():
+            yield pytest.param(call, arg, 1, value, id=f"{name}-{kind}")
+
+
+class TestSiteLists:
+    @pytest.mark.parametrize("call, arg, good, bad", site_cases())
+    def test_bad_sites_name_the_argument(self, call, arg, good, bad):
+        call(good)  # caches the cut plan of site 1, which True equals
+        with pytest.raises(ValueError, match=arg):
+            call(bad)
+
+    @pytest.mark.parametrize("name", SITE_LIST_CALLS)
+    def test_numpy_and_integral_float_sites(self, name):
+        call, _ = SITE_LIST_CALLS[name]
+        expected = call([2])
+        for sites in ([np.int64(2)], np.array([2]), [2.0]):
+            np.testing.assert_array_equal(call(sites), expected)
+
+    def test_integral_keeps_share_one_plan(self):
+        _cut.cache_clear()
+        for keep in ([1, 2], (1, 2), np.array([1, 2]), [1.0, 2.0]):
+            q.subsystem_entropy(SITES_PSI, keep)
+        assert _cut.cache_info().currsize == 1
 
 
 class TestDecoherenceFactor:
@@ -445,6 +500,17 @@ class TestClosedFormKernel:
                     ]
                     cond = np.mean([q.binary_entropy(0.5 + 0.5 * np.sqrt(x)) for x in radicands])
                     assert abs(chi_vals[ti, fi] - (s_sys[ti] - cond)) < 1e-12
+
+
+    def test_radicand_out_of_range_raises(self):
+        # 1 - 4wx must lie in [0, 1] within _EIG_TOL; beyond it no clamp hides it
+        with pytest.raises(NumericalError, match="radicand"):
+            information._rank2_entropy(np.float64(0.3), 1.0)  # radicand -0.2
+        with pytest.raises(NumericalError, match="radicand"):
+            information._rank2_entropy(np.array([0.25, 0.25]), np.array([0.0, -1e-6]))
+        tol = information._EIG_TOL
+        inside = information._rank2_entropy(0.25, np.array([1.0 + 0.5 * tol, -0.5 * tol]))
+        np.testing.assert_allclose(inside, [1.0, 0.0], atol=1e-4)
 
 
 class TestHolevoGridOracle:

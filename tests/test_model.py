@@ -127,6 +127,14 @@ class TestSourcesAndSpec:
             with pytest.raises(TypeError, match="not a coupling law"):
                 q.ModelSpec("t", 1, q.Vec3.zero(), {}, {}, {(1, "z"): value})
 
+    def test_label_must_be_a_string(self):
+        for label in (None, 3, {"type": 1}):
+            with pytest.raises(ValueError, match="label"):
+                q.ModelSpec(label, 1, q.Vec3.zero(), {}, {}, {})
+        doc = q.build_model("CPDI", 1).to_json_dict()
+        del doc["label"]
+        assert q.ModelSpec.from_json_dict(doc).label == ""
+
     def test_zero_sources_dropped(self):
         for zero in (0.0, -0.0, 0):
             spec = q.ModelSpec(
