@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ContinuousUniform, DiscreteUniform, PointMass, _real, _sites
+from .model import ContinuousUniform, DiscreteUniform, PointMass, _number_array, _real, _sites
 
 _LN2 = math.log(2.0)
 
 
 def binary_entropy(p):
     """-p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0. Accepts arrays."""
-    arr = np.asarray(p, dtype=float)
+    arr = _number_array(p, "p")
     if not (np.all(arr >= -1e-12) and np.all(arr <= 1.0 + 1e-12)):  # NaN fails too
         raise ValueError("probability out of [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
@@ -34,7 +34,7 @@ def binary_entropy(p):
 
 def characteristic_function(dist, k):
     """E[e^{ikX}] for a coupling distribution; scalar or array ``k``."""
-    k_arr = np.asarray(k, dtype=float)
+    k_arr = _number_array(k, "k")
     if isinstance(dist, ContinuousUniform):
         out = np.sinc(dist.half_width * k_arr / np.pi).astype(complex)
     elif isinstance(dist, DiscreteUniform):
@@ -63,7 +63,7 @@ def averaged_gamma_squared(dist, alpha_sq, t):
     """
     a2 = _check_unit_interval("alpha_sq", alpha_sq)
     b2 = 1.0 - a2
-    re = np.real(characteristic_function(dist, 4.0 * np.asarray(t, dtype=float)))
+    re = np.real(characteristic_function(dist, 4.0 * _number_array(t, "t")))
     out = a2 * a2 + b2 * b2 + 2.0 * a2 * b2 * re
     return float(out) if np.ndim(out) == 0 else out
 
@@ -92,7 +92,7 @@ class AveragedGammaCurve:
 
 def averaged_gamma_curve(dist, alpha_sq, times) -> AveragedGammaCurve:
     """Evaluate the averaged squared decoherence factor on a time grid."""
-    times = np.asarray(times, dtype=float)
+    times = _number_array(times, "times")
     values = np.asarray(averaged_gamma_squared(dist, alpha_sq, times), dtype=float)
     floor = gamma_squared_floor(alpha_sq)
     lo = 2.0 * floor - 1.0

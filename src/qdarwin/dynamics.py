@@ -1,11 +1,11 @@
 """Exact pure-state evolution: analytic branching form, diagonal fast path,
 and a dense spectral fallback.
 
-The diagonal path builds its energies by bit doubling in O(2^n). The dense
-path builds the full H but diagonalizes it block by block: each block holds
-the basis states that share the bits no term of the instance flips, read
-from its x and y terms with no scan of H, so a z-only environment coupled to
-a transverse system gives 2x2 blocks.
+The diagonal path reads its energies from the z-diagonal of H's flip-diagonal
+form in O(2^n). The dense path builds the full H but diagonalizes it block by
+block: each block holds the basis states that share the bits no term of the
+instance flips, read from its x and y terms with no scan of H, so a z-only
+environment coupled to a transverse system gives 2x2 blocks.
 
 The three engines agree on their common domain. Global phase is never
 normalized away; comparisons should align phases first (see
@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ModelInstance, _as_rng, _real, _sites, hamiltonian_matrix
+from .model import (
+    ModelInstance, _as_rng, _flip_diagonals, _number_array, _real, _sites, hamiltonian_matrix,
+)
 
 DIAGONAL_MAX_QUBITS = 26  # memory guardrail for the phase-vector engine
 
@@ -70,7 +72,7 @@ class ProductCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=complex)
+        coeffs = _number_array(self.coeffs, "coeffs", complex)
         if coeffs.ndim != 2 or coeffs.shape[1] != 2 or coeffs.shape[0] < 1:
             raise ValueError(f"expected shape (n_sites, 2), got {coeffs.shape}")
         _check_site_norms(coeffs)
@@ -106,10 +108,10 @@ class BranchingState:
         b0 = complex(self.beta0)
         if abs(abs(a0) ** 2 + abs(b0) ** 2 - 1.0) > 1e-12:
             raise ValueError("(alpha0, beta0) must be normalized within 1e-12")
-        coeffs = np.array(self.site_coeffs, dtype=complex)
+        coeffs = _number_array(self.site_coeffs, "site_coeffs", complex)
         if coeffs.ndim != 2 or coeffs.shape[1] != 2:
             raise ValueError(f"site_coeffs must have shape (N, 2), got {coeffs.shape}")
-        fields = np.array(self.fields, dtype=float)
+        fields = _number_array(self.fields, "fields")
         if fields.shape != (coeffs.shape[0],):
             raise ValueError("fields must hold one coupling per environment site")
         _check_site_norms(coeffs)
@@ -178,7 +180,7 @@ def evolve_branching(init: ProductCoeffs, fields, t: float) -> BranchingState:
     ``init`` holds the system site first, then one pair per environment site;
     ``fields`` holds the coupling of each environment site to the system.
     """
-    fields = np.asarray(fields, dtype=float)
+    fields = _number_array(fields, "fields")
     if init.n_sites != fields.shape[0] + 1:
         raise ValueError(
             f"init has {init.n_sites} sites but fields has {fields.shape[0]} entries"
@@ -277,7 +279,7 @@ class DensePropagator:
         if self._order is not None:
             amps = amps[self._order]
         coeffs = _apply_blocks(self._modes_h, amps.reshape(self._energies.shape))
-        coeffs *= np.exp(-1j * self._energies * float(t))
+        coeffs *= np.exp(-1j * self._energies * _real(t, "t"))
         out = _apply_blocks(self._modes, coeffs).ravel()
         if self._inverse is not None:
             out = out[self._inverse]
@@ -304,11 +306,8 @@ def evolve_dense(instance: ModelInstance, psi0: PureState, t: float) -> PureStat
 class DiagonalPropagator:
     """Phase evolution for instances whose Hamiltonian is diagonal (z-only).
 
-    The energies are built by bit doubling, so no matrix is ever
-    materialized and the build is O(2^n); the register may hold up to 26
-    qubits. When qubit k joins, the energies of the 2^k states of qubits
-    below it gain s_k * (h_k + sum_{i<k} J_ik s_i), a local field that is
-    itself bit-doubled from its own lower half.
+    The energies are the z-diagonal of the instance's flip-diagonal form,
+    built in O(2^n) with no matrix; the register may hold up to 26 qubits.
     """
 
     def __init__(self, instance: ModelInstance):
@@ -320,29 +319,14 @@ class DiagonalPropagator:
                 f"{n_qubits} qubits exceeds the diagonal-engine cap of {DIAGONAL_MAX_QUBITS}"
             )
         self.n_qubits = n_qubits
-        dim = 1 << n_qubits
-        energies = np.zeros(dim)
-        local = np.empty(dim >> 1)
-        for k in range(n_qubits):
-            half = 1 << k
-            field = local[:half]
-            field[0] = instance.fields[k, 2]
-            for i in range(k):
-                size = 1 << i
-                coupling = instance.j_tensor[i, k, 2, 2]
-                np.subtract(field[:size], coupling, out=field[size : 2 * size])
-                field[:size] += coupling
-            # s_k = +1 on the lower half (bit k clear), -1 on the upper
-            np.subtract(energies[:half], field, out=energies[half : 2 * half])
-            energies[:half] += field
-        self._energies = energies
+        self._energies = _flip_diagonals(instance)[0]
 
     def evolve(self, state: PureState, t: float) -> PureState:
         if state.n_qubits != self.n_qubits:
             raise ValueError("state size does not match the propagator")
         # one fresh array: the phases, then the evolved amplitudes in place
         # (amps * phase in that operand order, which fixes the rounding)
-        phase = np.multiply(-1j * float(t), self._energies)
+        phase = np.multiply(-1j * _real(t, "t"), self._energies)
         np.exp(phase, out=phase)
         np.multiply(state.amplitudes, phase, out=phase)
         return PureState(self.n_qubits, phase)

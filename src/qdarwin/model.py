@@ -170,6 +170,27 @@ def _real(value, key: str) -> float:
     raise ValueError(f"{key}: expected a finite real number, got {value!r}")
 
 
+def _number_array(values, key: str, dtype=float) -> np.ndarray:
+    """``values`` as a new array of ``dtype``, float or complex: the array
+    counterpart of ``_real``. Raise ValueError naming ``key`` unless every
+    entry is a finite number, real for a float array; a bool, a string, NaN,
+    an infinity or an integer beyond the float range fails."""
+    number = numbers.Complex if dtype is complex else numbers.Real
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        ok = values.dtype.kind in ("iufc" if dtype is complex else "iuf")
+    else:  # a list may hide a bool in a numeric dtype, so each entry is checked
+        ok = all(isinstance(v, number) and not isinstance(v, bool)
+                 for v in np.asarray(values, dtype=object).ravel())
+    try:
+        arr = np.array(values, dtype=dtype) if ok else None
+    except OverflowError:
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ValueError(f"{key}: expected finite {number.__name__.lower()} numbers, "
+                         f"got {values!r}")
+    return arr
+
+
 def _law(kind: str, param):
     """The coupling law of source type ``kind`` with its one parameter:
     ``const`` a value, ``uniform`` a half-width, ``discrete`` a sequence of values."""
@@ -555,7 +576,8 @@ def classify(instance: ModelInstance, continuous_support: bool, tol: float = 1e-
 
     The system-environment block supports a pointer basis iff it has numerical
     rank at most one (second singular value below ``tol`` times the first) and
-    the surviving system direction is parallel to the system field. Scrambling
+    the surviving system direction is parallel to the system field; a
+    decoupled system's pointer axis is its field's, if it has one. Scrambling
     is absent iff every intra-environment coupling is below ``tol`` times the
     largest coupling magnitude. All tests are relative, so the verdict is
     invariant under rescaling the instance.
@@ -563,9 +585,14 @@ def classify(instance: ModelInstance, continuous_support: bool, tol: float = 1e-
     if _real(tol, "tol") <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     m = instance.sys_env_matrix()
+    b0 = instance.fields[0]
     direction = None
     if not m.any():
-        pointer = True  # decoupled system: rank 0, any basis is retained
+        # decoupled system: rank 0, so only the field picks an axis; with no
+        # field every basis is retained
+        pointer = True
+        if b0.any():
+            direction = Vec3.from_array(b0 / np.linalg.norm(b0))
     else:
         u, s, _ = np.linalg.svd(m)
         rank_ok = s[1] <= tol * s[0]
@@ -574,7 +601,6 @@ def classify(instance: ModelInstance, continuous_support: bool, tol: float = 1e-
             k = int(np.argmax(np.abs(v0)))
             if v0[k] < 0:
                 v0 = -v0
-            b0 = instance.fields[0]
             b0_norm = float(np.linalg.norm(b0))
             parallel = b0_norm == 0.0 or float(
                 np.linalg.norm(np.cross(b0, v0))
@@ -595,24 +621,45 @@ def classify(instance: ModelInstance, continuous_support: bool, tol: float = 1e-
     )
 
 
-def _apply_pauli_term(h, basis, coeff, factors):
-    """Accumulate coeff * product of single-site Paulis into ``h``.
+def _flip_diagonals(instance: ModelInstance) -> dict:
+    """H as {flip mask f: diagonal D_f} with H = sum_f D_f X^f, that is
+    H[b ^ f, b] = D_f[b].
 
-    Each Pauli string is a signed permutation in the computational basis:
-    sigma_x flips a bit, sigma_y flips with phase +-i, sigma_z applies +-1.
+    D_0, the real z-diagonal, is bit-doubled in O(2^n): when qubit k joins,
+    the energies of the 2^k states below it gain s_k * (h_k + sum_{i<k} J_ik s_i),
+    a local field bit-doubled from its own lower half. A term with an x or y
+    factor is a signed permutation (sigma_x flips a bit, sigma_y flips with
+    phase +-i, sigma_z applies +-1) and adds its phase into D_f.
     """
-    flip = 0
-    phase = np.full(basis.shape, coeff, dtype=complex)
-    for site, axis in factors:
-        bit = (basis >> site) & 1
-        if axis == 0:            # x
-            flip ^= 1 << site
-        elif axis == 1:          # y
-            flip ^= 1 << site
-            phase *= 1j * (1 - 2 * bit)
-        else:                    # z
-            phase *= 1 - 2 * bit
-    h[basis ^ flip, basis] += phase
+    dim = 1 << instance.n_qubits
+    energies = np.zeros(dim)
+    local = np.empty(dim >> 1)
+    for k in range(instance.n_qubits):
+        half = 1 << k
+        field = local[:half]
+        field[0] = instance.fields[k, 2]
+        for i in range(k):
+            size = 1 << i
+            coupling = instance.j_tensor[i, k, 2, 2]
+            np.subtract(field[:size], coupling, out=field[size : 2 * size])
+            field[:size] += coupling
+        # s_k = +1 on the lower half (bit k clear), -1 on the upper
+        np.subtract(energies[:half], field, out=energies[half : 2 * half])
+        energies[:half] += field
+    diagonals = {0: energies}
+    terms = [(instance.j_tensor[i, j, a, b], ((i, a), (j, b)))
+             for i, j, a, b in zip(*np.nonzero(instance.j_tensor)) if min(a, b) < 2]
+    terms += [(instance.fields[site, c], ((site, c),))
+              for site, c in zip(*np.nonzero(instance.fields[:, :2]))]
+    basis = np.arange(dim) if terms else None
+    for coeff, factors in terms:
+        flip, phase = 0, np.full(dim, coeff, dtype=complex)
+        for site, axis in factors:
+            flip ^= int(axis < 2) << site  # x and y flip the bit
+            if axis:  # y multiplies by +-i, z by +-1
+                phase *= (1j if axis == 1 else 1) * (1 - 2 * ((basis >> site) & 1))
+        diagonals[flip] = diagonals.get(flip, 0) + phase
+    return diagonals
 
 
 def hamiltonian_matrix(instance: ModelInstance) -> np.ndarray:
@@ -622,11 +669,8 @@ def hamiltonian_matrix(instance: ModelInstance) -> np.ndarray:
         raise ValueError(
             f"{n_qubits} qubits exceeds the dense-matrix cap of {HAMILTONIAN_MAX_QUBITS}"
         )
-    dim = 1 << n_qubits
-    basis = np.arange(dim)
-    h = np.zeros((dim, dim), dtype=complex)
-    for i, j, a, b in zip(*np.nonzero(instance.j_tensor)):
-        _apply_pauli_term(h, basis, instance.j_tensor[i, j, a, b], [(i, a), (j, b)])
-    for site, c in zip(*np.nonzero(instance.fields)):
-        _apply_pauli_term(h, basis, instance.fields[site, c], [(site, c)])
+    basis = np.arange(1 << n_qubits)
+    h = np.zeros((basis.size, basis.size), dtype=complex)
+    for flip, diagonal in _flip_diagonals(instance).items():
+        h[basis ^ flip, basis] = diagonal
     return h

@@ -95,6 +95,20 @@ class TestAveragedGamma:
             with pytest.raises(ValueError, match="alpha_sq"):
                 q.gamma_squared_floor(alpha_sq)
 
+    def test_array_arguments_are_numbers(self):
+        for bad in ("1.5", True, ["0", "1"], [0.0, True], float("inf")):
+            with pytest.raises(ValueError, match="t: expected finite real"):
+                q.averaged_gamma_squared(UNIFORM, 0.5, bad)
+            with pytest.raises(ValueError, match="times: expected finite real"):
+                q.averaged_gamma_curve(UNIFORM, 0.5, bad)
+            with pytest.raises(ValueError, match="k: expected finite real"):
+                q.characteristic_function(UNIFORM, bad)
+        for bad in ("0.5", True, [0.5, True], np.array([True])):
+            with pytest.raises(ValueError, match="p: expected finite real"):
+                q.binary_entropy(bad)
+        with pytest.raises(ValueError, match="k: expected finite real"):
+            q.characteristic_function(UNIFORM, np.array([1j]))
+
     def test_curve_factory(self):
         curve = q.averaged_gamma_curve(UNIFORM, 0.5, np.linspace(0, 5, 11))
         assert curve.values[0] == pytest.approx(1.0)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdarwin as q
+from qdarwin.model import _flip_diagonals
 
 from helpers import (
     bell_branching,
@@ -326,6 +328,64 @@ class TestBlockMask:
         assert prop._order is None
 
 
+@st.composite
+def z_only_instances(draw):
+    """Diagonal instances with z fields and zz couplings on any pair of
+    qubits, intra-environment pairs included, each present or not."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jt = np.zeros((n, n, 3, 3))
+    rows, cols = np.triu_indices(n, 1)
+    jt[rows, cols, 2, 2] = rng.uniform(-1.0, 1.0, rows.size) * (rng.random(rows.size) < 0.7)
+    fields = np.zeros((n, 3))
+    fields[:, 2] = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.7)
+    return q.ModelInstance(n_env=n - 1, j_tensor=jt, fields=fields)
+
+
+class TestFlipDiagonals:
+    """H = sum_f D_f X^f, with H[b ^ f, b] = D_f[b]."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        instance=st.one_of(transverse_instances().map(lambda case: case[0]), z_only_instances()),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_form_applies_h_and_keys_make_the_flip_mask(self, instance, seed):
+        diagonals = _flip_diagonals(instance)
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=1 << instance.n_qubits) + 1j * rng.normal(size=1 << instance.n_qubits)
+        basis = np.arange(v.size)
+        hv = np.zeros(v.size, dtype=complex)
+        for flip, diagonal in diagonals.items():
+            hv[basis ^ flip] += diagonal * v
+        assert np.max(np.abs(hv - oracle_hamiltonian(instance) @ v)) <= 1e-12
+        assert np.bitwise_or.reduce(list(diagonals)) == instance.flip_mask()
+        assert diagonals[0].dtype == np.float64
+
+    def test_z_only_build_allocates_no_basis(self):
+        """On a z-only register only the energies and the half-size local
+        field are allocated: no basis index array, no complex diagonal."""
+        n = 18
+        jt = np.zeros((n, n, 3, 3))
+        jt[0, 1:, 2, 2] = np.linspace(-1.0, 1.0, n - 1)
+        jt[1, 2:, 2, 2] = 0.3
+        fields = np.zeros((n, 3))
+        fields[:, 2] = 0.1
+        instance = q.ModelInstance(n_env=n - 1, j_tensor=jt, fields=fields)
+        tracemalloc.start()
+        try:
+            diagonals = _flip_diagonals(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert instance.flip_mask() == 0 and instance.is_z_only()
+            structural = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert list(diagonals) == [0]
+        assert peak <= (8 << n) + (4 << n) + (64 << 10)
+        assert structural <= 64 << 10  # the structural queries build no 2^n array
+
+
 class TestDiagonalEngine:
     def test_matches_dense_on_cpdis(self):
         spec = q.build_model("CPDI_S", 6)
@@ -436,6 +496,37 @@ class TestStateTypes:
         bs = random_branching(np.random.default_rng(1), 3)
         with pytest.raises(ValueError):
             bs.site_overlap(4)
+
+    def test_array_inputs_are_numbers(self):
+        init = q.random_product_state(3, 2)
+        for bad in (["0.3", True], [0.3, True], [0.3, float("nan")]):
+            with pytest.raises(ValueError, match="fields"):
+                q.evolve_branching(init, bad, 1.0)
+        for bad in ([["1", "0"], [True, False]], [[1, 0], [True, False]], [[10**400, 0]]):
+            with pytest.raises(ValueError, match="coeffs"):
+                q.ProductCoeffs(bad)
+        with pytest.raises(ValueError, match="site_coeffs"):
+            q.BranchingState(1.0, 0.0, [["1", "0"]], [0.5], 1.0)
+        with pytest.raises(ValueError, match="fields"):
+            q.BranchingState(1.0, 0.0, [[1.0, 0.0]], ["0.5"], 1.0)
+        # ints, numpy scalars and complex pairs are numbers
+        assert q.evolve_branching(init, [np.float32(0.5), 1], 1.0).fields.tolist() == [0.5, 1.0]
+        assert q.ProductCoeffs([[1j, 0]]).coeffs.tolist() == [[1j, 0j]]
+
+    def test_propagator_time_is_a_real_number(self):
+        dense_inst = q.sample_instance(q.build_model("CODI", 2), 0)
+        diag_inst = q.sample_instance(q.build_model("CPDI_S", 2), 0)
+        psi0 = q.dense_product_state(q.random_product_state(3, 1))
+        evolvers = (q.DensePropagator(dense_inst).evolve, q.DiagonalPropagator(diag_inst).evolve,
+                    lambda psi, t: q.evolve_dense(dense_inst, psi, t),
+                    lambda psi, t: q.evolve_diagonal(diag_inst, psi, t))
+        for evolve in evolvers:
+            for bad in ("0.5", True, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="t: expected a finite real"):
+                    evolve(psi0, bad)
+            # negative times run backwards
+            back = evolve(evolve(psi0, np.float64(0.7)), -0.7)
+            assert np.max(np.abs(back.amplitudes - psi0.amplitudes)) <= 1e-12
 
     def test_branching_time_is_a_real_number(self):
         init = q.random_product_state(3, 2)

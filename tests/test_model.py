@@ -1,10 +1,39 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qdarwin as q
 from qdarwin.model import AXES
 
-from helpers import oracle_hamiltonian, random_generic_instance
+from helpers import kron_pauli, oracle_hamiltonian, random_generic_instance
+
+
+@st.composite
+def pointer_cases(draw):
+    """A system-environment block with N_env <= 3 and a system field, small
+    integers throughout so that rank and parallelism are decided far from
+    any tolerance: a rank-1 block u w^T with b0 parallel to u, the same with
+    a skew b0, or a generic block. Half the rank-1 blocks have w = 0, a
+    decoupled system."""
+    kind = draw(st.sampled_from(("parallel", "skew", "generic")))
+    n_env = draw(st.integers(1, 3))
+
+    def ints(size):
+        return np.array(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
+
+    u = ints(3)
+    assume(u.any())
+    if kind == "generic":
+        block = ints(9 * n_env).reshape(3, 3 * n_env)
+        b0 = ints(3)
+    else:
+        block = np.outer(u, ints(3 * n_env) if draw(st.booleans()) else np.zeros(3 * n_env))
+        b0 = draw(st.integers(-2, 2)) * u
+        if kind == "skew":
+            b0 = b0 + ints(3)
+            assume(np.cross(u, b0).any())
+    return kind, n_env, block.astype(float), b0.astype(float), draw(st.integers(0, 2**32 - 1))
 
 
 class TestBuildModel:
@@ -372,6 +401,41 @@ class TestClassify:
         verdict = q.classify(inst, False)
         assert verdict.pointer_basis
         assert verdict.pointer_direction is None
+        # a field on the decoupled system leaves only its own axis
+        fields = np.zeros((3, 3))
+        fields[0] = [0.6, 0.0, 0.8]
+        inst = q.ModelInstance(n_env=2, j_tensor=np.zeros((3, 3, 3, 3)), fields=fields)
+        verdict = q.classify(inst, False)
+        assert verdict.pointer_basis
+        np.testing.assert_allclose(verdict.pointer_direction.as_array(), [0.6, 0.0, 0.8])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pointer_cases())
+    def test_pointer_verdict_is_the_commutator_form(self, case):
+        """A pointer observable n . sigma_0 with [n . sigma_0, H] = 0 exists
+        exactly when M_ab = Re Tr([sigma_a, H]^dag [sigma_b, H]) has a zero
+        eigenvalue, and it is then the classified direction (when M's null
+        space is one line)."""
+        kind, n_env, block, b0, seed = case
+        rng = np.random.default_rng(seed)
+        n = n_env + 1
+        jt = np.zeros((n, n, 3, 3))
+        jt[0, 1:] = block.reshape(3, n_env, 3).transpose(1, 0, 2)
+        # couplings and fields inside the environment commute with sigma_0
+        jt[1:, 1:] = np.triu(rng.integers(-2, 3, (n_env, n_env)), 1)[:, :, None, None]
+        fields = np.vstack([b0, rng.integers(-2, 3, (n_env, 3))])
+        inst = q.ModelInstance(n_env=n_env, j_tensor=jt, fields=fields)
+        h = oracle_hamiltonian(inst)
+        comms = [kron_pauli(n, {0: axis}) @ h - h @ kron_pauli(n, {0: axis}) for axis in AXES]
+        m = np.array([[np.trace(ca.conj().T @ cb).real for cb in comms] for ca in comms])
+        lam, vecs = np.linalg.eigh(m)
+        null = lam <= 1e-9 * lam[-1]
+        verdict = q.classify(inst, True)
+        assert verdict.pointer_basis == bool(null.any())
+        if null.sum() == 1:
+            assert abs(verdict.pointer_direction.as_array() @ vecs[:, 0]) == pytest.approx(1.0)
+        else:
+            assert verdict.pointer_direction is None
 
     def test_rank2_coupling_blocks_pointer_basis(self):
         rng = np.random.default_rng(8)
