@@ -82,8 +82,8 @@ class AveragedGammaCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = _number_array(self.times, "times")
+        values = _number_array(self.values, "values")
         if times.shape != values.shape or times.ndim != 1:
             raise ValueError("times and values must be 1-d arrays of equal length")
         object.__setattr__(self, "times", times)

@@ -20,7 +20,7 @@ from . import __version__
 from .analytics import averaged_gamma_curve
 from .experiments import ExperimentConfig, SweepResult, reproduce_fig2, reproduce_fig3, run_sweep
 from .information import NumericalError
-from .model import ModelSpec, _law, classify, sample_instance
+from .model import ModelSpec, _law, build_model, classify, sample_instance
 
 CSV_HEADER = (
     "model,realizations,time,fragment_size,I_mean,I_stderr,"
@@ -240,10 +240,21 @@ def _write_outputs(result: SweepResult, args) -> None:
         render_heatmap_svg(result, args.svg_quantity, args.svg)
 
 
+def _check_svg_quantity(args, spec: ModelSpec) -> None:
+    """Refuse a chi heatmap before the sweep runs: only a model in branching
+    form has a closed-form Holevo quantity to draw."""
+    if args.svg and args.svg_quantity == "chi" and not spec.is_branching_form():
+        raise ValueError(
+            f"--svg-quantity chi needs a model in branching form; {spec.label} has no "
+            "closed-form Holevo quantity"
+        )
+
+
 def _cmd_sweep(args) -> None:
     config = ExperimentConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
+    _check_svg_quantity(args, build_model(config.model, config.n_env, **config.overrides))
     result = run_sweep(config)
     _write_outputs(result, args)
 
@@ -264,6 +275,7 @@ def _cmd_fig3(args) -> None:
         overrides["support"] = tuple(float(v) for v in args.support.split(","))
     if args.scramble is not None:
         overrides["scramble_half_width"] = args.scramble
+    _check_svg_quantity(args, build_model(args.model, args.n_env, **overrides))
     result = reproduce_fig3(
         args.model,
         n_env=args.n_env,

@@ -10,9 +10,11 @@ propagator for other z-only models, and the dense propagator otherwise.
 Realizations are drawn in index order and evaluated in chunks: the state
 engines take each realization's states and entropies in turn, and the
 branching closed form runs once per chunk over the chunk's stacked
-realizations. Every per-realization value is bit-identical whatever the chunk
-size, and a realization does not depend on how many follow it, so a sweep is
-deterministic in its config alone.
+realizations. Each finished chunk is folded into running sums and dropped, so
+a sweep's memory does not grow with its realization count. Every
+per-realization value, mean and standard error is bit-identical whatever the
+chunk size, and a realization does not depend on how many follow it, so a
+sweep is deterministic in its config alone.
 
 A realization's fragments are one boolean table ``masks[F, S, N]``: F
 fragment sizes, S subsets per size (1 for the prefix policy,
@@ -34,7 +36,7 @@ from .dynamics import (
     dense_product_state,
     random_product_state,
 )
-from .information import _closed_form_tables, subsystem_entropy
+from .information import NumericalError, _closed_form_tables, subsystem_entropy
 from .model import (
     ModelSpec,
     _integer,
@@ -47,8 +49,9 @@ from .model import (
 
 _MASK64 = (1 << 64) - 1
 # Byte budget of each (chunk, S, T, F) complex table the closed-form kernel
-# fills per call, which sets how many realizations it takes at once. Doubling
-# it sped a fig3 CPDI + DPDI job by ~10 % but raised its peak memory by ~1.5 %.
+# fills per call, which sets how many realizations it takes at once; every
+# engine folds the same chunks into the running statistics. Doubling it sped
+# a fig3 CPDI + DPDI job by ~10 % but raised its peak memory by ~1.5 %.
 _CHUNK_BYTES = 64 * 1024
 
 FRAGMENT_POLICIES = ("prefix", "random")
@@ -141,9 +144,11 @@ class SweepResult:
 
     Mean/stderr arrays have shape (T, F). The Holevo and discord tables are
     NaN when the model does not keep an initially separable state in
-    branching form (no closed form is available there). When the sweep was
-    run with ``keep_realizations``, the per-realization values are retained
-    with a leading realization axis. ``engine`` is the engine the model's
+    branching form (no closed form is available there). The sweep folds each
+    chunk of realizations into running sums and drops it, so its memory does
+    not grow with the realization count; only with ``keep_realizations`` are
+    the per-realization values retained, with a leading realization axis
+    (R x T x F values per table). ``engine`` is the engine the model's
     structure chose: ``branching``, ``diagonal`` or ``dense``. ``smax_zeroed``
     counts the realizations whose S_max was at most 1e-12 and whose ratio row
     was therefore set to 0.
@@ -227,16 +232,69 @@ def _state_tables(propagator, init, times, masks):
     return i_vals, s_sys
 
 
-def _mean_stderr(values: np.ndarray):
-    mean = np.mean(values, axis=0)
-    if values.shape[0] < 2:
-        return mean, np.zeros_like(mean)
-    stderr = np.std(values, axis=0, ddof=1) / np.sqrt(values.shape[0])
-    return mean, stderr
+class _RunningStats:
+    """Per-cell mean and standard error of per-realization blocks that arrive
+    a chunk at a time, held in O(cells) memory whatever the realization count.
+
+    Each chunk's blocks are packed into rows, one per realization. Three
+    running sums, of x, of d = x - x_0 and of d^2 with x_0 realization 0's
+    row, each grow by one reduce over the running sum stacked on top of the
+    chunk's rows. A row has at least two cells, so numpy adds down axis 0 one
+    row after the other: every sum adds in realization order, the mean is
+    bit-identical to ``np.mean(axis=0)`` over all rows, and nothing depends on
+    the chunk size. Shifting by x_0 keeps sum(d^2) - sum(d)^2 / R free of the
+    cancellation the raw second moment suffers.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.shapes = self.shift = self.sums = None
+
+    def add(self, blocks) -> None:
+        rows = blocks[0].shape[0]
+        if self.shapes is None:
+            self.shapes = [b.shape[1:] for b in blocks]
+            cells = sum(int(np.prod(shape)) for shape in self.shapes)
+            self.sums = np.zeros((3, cells))
+        stack = np.empty((rows + 1, self.sums.shape[1]))
+        data = stack[1:]
+        np.concatenate([b.reshape(rows, -1) for b in blocks], axis=1, out=data)
+        if self.shift is None:
+            self.shift = data[0].copy()
+        for k in range(3):  # data holds x, then d, then d^2
+            if k == 1:
+                data -= self.shift
+            elif k == 2:
+                np.square(data, out=data)
+            stack[0] = self.sums[k]
+            np.add.reduce(stack, axis=0, out=self.sums[k])
+        self.count += rows
+
+    def mean_stderr(self) -> list:
+        """[(mean, stderr)] per block, in the order ``add`` took them."""
+        n = self.count
+        total, dev, dev_sq = self.sums
+        mean = total / n
+        stderr = np.zeros_like(mean)
+        if n > 1:
+            # the exact spread is >= 0; rounding moves it by < (3R + 2) eps sum(d^2)
+            spread = dev_sq - dev * dev / n
+            if np.any(spread < -4.0 * n * np.finfo(float).eps * dev_sq):
+                raise NumericalError("negative variance beyond rounding in a sweep cell")
+            stderr = np.sqrt(np.maximum(spread, 0.0) / (n - 1)) / np.sqrt(n)
+        bounds = np.cumsum([int(np.prod(shape)) for shape in self.shapes])[:-1]
+        return [
+            (m.reshape(shape), e.reshape(shape))
+            for m, e, shape in zip(np.split(mean, bounds), np.split(stderr, bounds), self.shapes)
+        ]
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run the configured sweep; deterministic in the config alone."""
+    """Run the configured sweep; deterministic in the config alone.
+
+    Each chunk of realizations is folded into running statistics and then
+    dropped, so memory does not grow with the realization count unless the
+    config keeps the per-realization values."""
     spec = build_model(config.model, config.n_env, **config.overrides)
     engine = _engine(spec)
     times = np.asarray(config.time_grid)
@@ -244,26 +302,28 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     r_count = config.realizations
     has_holevo = engine == "branching"
 
-    i_all = np.empty((r_count, times.size, sizes.size))
-    chi_all = np.empty_like(i_all) if has_holevo else None
-    s_all = np.empty((r_count, times.size))
-    alpha0_sq = np.empty(r_count)
-
+    stats = _RunningStats()
+    kept = []  # per-chunk blocks, with keep_realizations
+    n_zeroed = 0
     cell_bytes = 16 * config.subsets_per_realization * times.size * sizes.size
     chunk = max(1, _CHUNK_BYTES // cell_bytes)
     for start in range(0, r_count, chunk):
-        stop = min(start + chunk, r_count)
+        rows = min(chunk, r_count - start)
+        alpha0_sq = np.empty(rows)
         weights, site_coeffs, fields, masks = [], [], [], []
-        for r in range(start, stop):
-            rng = np.random.default_rng(mix_seed(config.master_seed, r))
+        if not has_holevo:
+            i_blk = np.empty((rows, times.size, sizes.size))
+            s_blk = np.empty((rows, times.size))
+        for j in range(rows):
+            rng = np.random.default_rng(mix_seed(config.master_seed, start + j))
             instance = sample_instance(spec, rng)
             init = random_product_state(spec.n_env + 1, rng)
             frags = _draw_fragments(rng, config, spec.n_env)
             (alpha0, beta0), env_coeffs = init.coeffs[0], init.coeffs[1:]
             # the scalar abs: np.abs on complex arrays rounds differently
-            alpha0_sq[r] = abs(alpha0) ** 2
+            alpha0_sq[j] = abs(alpha0) ** 2
             if has_holevo:
-                weights.append(alpha0_sq[r] * abs(beta0) ** 2)
+                weights.append(alpha0_sq[j] * abs(beta0) ** 2)
                 site_coeffs.append(env_coeffs)
                 fields.append(instance.j_tensor[0, 1:, 2, 2])
                 masks.append(frags)
@@ -273,31 +333,40 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                     DiagonalPropagator(instance) if engine == "diagonal"
                     else DensePropagator(instance)
                 )
-                i_all[r], s_all[r] = _state_tables(propagator, init, times, frags)
+                i_blk[j], s_blk[j] = _state_tables(propagator, init, times, frags)
         if has_holevo:
-            i_all[start:stop], chi_all[start:stop], s_all[start:stop] = _closed_form_tables(
+            i_blk, chi_blk, s_blk = _closed_form_tables(
                 np.array(weights), np.array(site_coeffs), np.array(fields), times,
                 np.array(masks),
             )
 
-    smax_all = binary_entropy(alpha0_sq)
-    # a system with no branch entropy to share has its ratio row set to 0
-    zeroed = smax_all <= 1e-12
-    ratio_all = i_all / np.where(zeroed, 1.0, smax_all)[:, None, None]
-    ratio_all[zeroed] = 0.0
+        smax = binary_entropy(alpha0_sq)
+        # a system with no branch entropy to share has its ratio row set to 0
+        zeroed = smax <= 1e-12
+        n_zeroed += int(np.count_nonzero(zeroed))
+        ratio = i_blk / np.where(zeroed, 1.0, smax)[:, None, None]
+        ratio[zeroed] = 0.0
+        blocks = [i_blk, s_blk, ratio]
+        if has_holevo:
+            blocks += [chi_blk, i_blk - chi_blk]
+        stats.add(blocks)
+        if config.keep_realizations:
+            kept.append([*blocks, smax])
 
-    i_mean, i_stderr = _mean_stderr(i_all)
-    s_mean_t, s_stderr_t = _mean_stderr(s_all)
-    ratio_mean, ratio_stderr = _mean_stderr(ratio_all)
-    ones = np.ones((1, sizes.size))
+    (i_mean, i_stderr), (s_mean_t, s_stderr_t), (ratio_mean, ratio_stderr), *holevo = (
+        stats.mean_stderr()
+    )
     if has_holevo:
-        d_all = i_all - chi_all
-        chi_mean, chi_stderr = _mean_stderr(chi_all)
-        d_mean, d_stderr = _mean_stderr(d_all)
+        (chi_mean, chi_stderr), (d_mean, d_stderr) = holevo
     else:
-        d_all = None
         nan_grid = np.full((times.size, sizes.size), np.nan)
         chi_mean = chi_stderr = d_mean = d_stderr = nan_grid
+    values = {}
+    if config.keep_realizations:
+        names = ["i_values", "s_values", "ratio_values"]
+        names += ["chi_values", "discord_values"] if has_holevo else []
+        values = dict(zip([*names, "smax_values"], map(np.concatenate, zip(*kept))))
+    ones = np.ones((1, sizes.size))
 
     return SweepResult(
         config=config,
@@ -316,13 +385,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         s_stderr=s_stderr_t[:, None] * ones,
         ratio_mean=ratio_mean,
         ratio_stderr=ratio_stderr,
-        i_values=i_all if config.keep_realizations else None,
-        chi_values=chi_all if config.keep_realizations else None,
-        discord_values=d_all if config.keep_realizations else None,
-        ratio_values=ratio_all if config.keep_realizations else None,
-        s_values=s_all if config.keep_realizations else None,
-        smax_values=smax_all if config.keep_realizations else None,
-        smax_zeroed=int(np.count_nonzero(zeroed)),
+        smax_zeroed=n_zeroed,
+        **values,
     )
 
 

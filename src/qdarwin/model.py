@@ -54,7 +54,7 @@ class Vec3:
 
     @staticmethod
     def from_array(arr) -> "Vec3":
-        arr = np.asarray(arr, dtype=float)
+        arr = _number_array(arr, "Vec3")
         if arr.shape != (3,):
             raise ValueError(f"expected 3 components, got shape {arr.shape}")
         return Vec3(float(arr[0]), float(arr[1]), float(arr[2]))
@@ -406,14 +406,12 @@ class ModelInstance:
 
     def __post_init__(self):
         n = self.n_env + 1
-        jt = np.asarray(self.j_tensor, dtype=float)
-        fl = np.asarray(self.fields, dtype=float)
+        jt = _number_array(self.j_tensor, "j_tensor")
+        fl = _number_array(self.fields, "fields")
         if jt.shape != (n, n, 3, 3):
             raise ValueError(f"j_tensor must have shape {(n, n, 3, 3)}, got {jt.shape}")
         if fl.shape != (n, 3):
             raise ValueError(f"fields must have shape {(n, 3)}, got {fl.shape}")
-        if not (np.isfinite(jt).all() and np.isfinite(fl).all()):
-            raise ValueError("coefficients must be finite")
         if np.any(jt[_lower_triangle(n)] != 0.0):
             raise ValueError("j_tensor entries with i >= j must be zero")
         object.__setattr__(self, "j_tensor", jt)
@@ -494,6 +492,7 @@ def build_model(
     ``[-scramble_half_width, scramble_half_width]`` (0 disables them).
     """
     kind = canonical_kind(kind)
+    n_env = _integer(n_env, "n_env")
     if n_env < 1:
         raise ValueError(f"n_env must be >= 1, got {n_env}")
     if _real(half_width, "half_width") <= 0:

@@ -109,6 +109,15 @@ class TestAveragedGamma:
         with pytest.raises(ValueError, match="k: expected finite real"):
             q.characteristic_function(UNIFORM, np.array([1j]))
 
+    def test_curve_entries_are_numbers(self):
+        for key, times, values in (("times", ["0", "1"], [1.0, 0.5]),
+                                   ("values", [0.0, 1.0], ["1", True]),
+                                   ("values", [0.0, 1.0], [1.0, float("nan")])):
+            with pytest.raises(ValueError, match=f"{key}: expected finite real"):
+                q.AveragedGammaCurve(times, values)
+        curve = q.AveragedGammaCurve([0, 1], [np.float32(1.0), 0.5])
+        assert curve.values.dtype == float and curve.values.tolist() == [1.0, 0.5]
+
     def test_curve_factory(self):
         curve = q.averaged_gamma_curve(UNIFORM, 0.5, np.linspace(0, 5, 11))
         assert curve.values[0] == pytest.approx(1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qdarwin as q
-from qdarwin import information
+from qdarwin import cli, information
 from qdarwin.cli import CSV_HEADER, main, render_heatmap_svg, write_csv
 
 
@@ -241,6 +241,31 @@ class TestSweepCommand:
             cells = line.split(",")
             assert cells[6] == "" and cells[7] == "" and cells[8] == ""
             assert cells[4] != ""
+
+    def test_chi_heatmap_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        outs = ["--out", str(tmp_path / "x.csv"), "--svg", str(tmp_path / "x.svg"),
+                "--svg-quantity", "chi"]
+        # CPDI-S without intra-environment couplings is in branching form
+        plain = write_sweep_config(tmp_path, model="CPDI_S", n_env=2, fragment_sizes=[0, 1, 2],
+                                   overrides={"scramble_half_width": 0.0})
+        assert main(["sweep", "--config", plain, *outs]) == 0
+        for path in tmp_path.glob("x*"):
+            path.unlink()
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.setattr(cli, "reproduce_fig3", no_sweep)
+        for argv in (
+            ["fig3", "--model", "CODI", "--n-env", "2", *outs],
+            ["fig3", "--model", "CPDI-S", "--n-env", "2", *outs],
+            ["sweep", "--config", write_sweep_config(tmp_path, model="CPDI_S", n_env=2,
+                                                     fragment_sizes=[0, 1, 2]), *outs],
+        ):
+            assert main(argv) == 2
+            assert "--svg-quantity chi" in capsys.readouterr().err
+            assert list(tmp_path.glob("x*")) == []
 
     def test_unwritable_path_is_runtime_error(self, tmp_path, capsys):
         config = write_sweep_config(tmp_path)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qdarwin as q
-from qdarwin import experiments
+from qdarwin import experiments, information
 from qdarwin.cli import write_sidecar
 from qdarwin.experiments import _fig3_time_grid
 
@@ -160,6 +160,47 @@ class TestRunSweep:
         for res in runs:
             for name in fields[:6]:
                 np.testing.assert_array_equal(getattr(head, name), getattr(res, name)[:3], name)
+
+    @pytest.mark.parametrize("model", ["CPDI", "CODI", "CPDI_S"])
+    def test_streamed_statistics_do_not_depend_on_chunks(self, monkeypatch, model):
+        """Without kept values the statistics are folded chunk by chunk; the
+        means still equal np.mean over the realizations bit for bit, and
+        neither means nor standard errors depend on the chunk size."""
+        config = small_config(model=model, realizations=7, fragment_policy="random",
+                              subsets_per_realization=2)
+        cell_bytes = 32 * len(config.time_grid) * len(config.fragment_sizes)
+        fields = [f"{name}_{kind}" for name in ("i", "chi", "discord", "s", "ratio")
+                  for kind in ("mean", "stderr")]
+        runs = []
+        for budget in (1, 3 * cell_bytes, 1 << 40):
+            monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+            runs.append(q.run_sweep(config))
+        for res in runs[1:]:
+            for name in fields:
+                np.testing.assert_array_equal(getattr(res, name), getattr(runs[0], name), name)
+        kept = q.run_sweep(dataclasses.replace(config, keep_realizations=True))
+        for name in ("i", "chi", "discord", "s", "ratio"):
+            values = getattr(kept, f"{name}_values")
+            if values is None:
+                assert model != "CPDI" and np.isnan(getattr(runs[0], f"{name}_mean")).all()
+                continue
+            if name == "s":
+                values = np.repeat(values[:, :, None], len(config.fragment_sizes), axis=2)
+            np.testing.assert_array_equal(getattr(runs[0], f"{name}_mean"),
+                                          np.mean(values, axis=0), name)
+            np.testing.assert_allclose(getattr(runs[0], f"{name}_stderr"),
+                                       np.std(values, axis=0, ddof=1) / np.sqrt(7),
+                                       rtol=0, atol=1e-15, err_msg=name)
+
+    def test_variance_clamp_is_bounded(self):
+        stats = experiments._RunningStats()
+        stats.add([np.full((4, 2), 0.3), np.full((4, 1), -2.0)])
+        assert all(np.array_equal(se, np.zeros_like(se)) for _, se in stats.mean_stderr())
+        # a spread below zero by more than rounding is a numerical failure
+        stats.add([np.array([[0.3, 0.7]]), np.array([[-2.0]])])
+        stats.sums[2, 1] = 0.0  # sum(d^2) below sum(d)^2 / R
+        with pytest.raises(information.NumericalError, match="negative variance"):
+            stats.mean_stderr()
 
     def test_vanishing_smax_is_counted(self, monkeypatch, tmp_path):
         draw = experiments.random_product_state

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qdarwin as q
-from qdarwin import information
+from qdarwin import experiments, information
 
 from helpers import random_generic_instance, random_state
 
@@ -77,3 +77,18 @@ def test_evolve_leaves_its_input_alone(psi, diagonal):
     instance = random_generic_instance(np.random.default_rng(5), 4)
     q.DensePropagator(instance).evolve(small, 2.0)
     np.testing.assert_array_equal(small.amplitudes, before)
+
+
+def test_sweep_memory_does_not_grow_with_realizations(monkeypatch):
+    """A sweep folds each chunk of realizations into running sums, so its peak
+    is the same at 2 and at 20 chunks."""
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 16 * 4 * 5 * 10)  # 10 per chunk
+
+    def sweep_peak(realizations):
+        config = q.ExperimentConfig(
+            model="CPDI", n_env=4, time_grid=(0.0, 0.5, 1.0, 2.0),
+            fragment_sizes=(0, 1, 2, 3, 4), realizations=realizations,
+        )
+        return peak_bytes(q.run_sweep, config)
+
+    assert sweep_peak(200) <= 1.1 * sweep_peak(20)

@@ -6,7 +6,33 @@ from hypothesis import strategies as st
 import qdarwin as q
 from qdarwin.model import AXES
 
-from helpers import kron_pauli, oracle_hamiltonian, random_generic_instance
+from helpers import (
+    PAULI, kron_pauli, oracle_hamiltonian, oracle_reduced_density, random_generic_instance,
+)
+
+
+@st.composite
+def records_cases(draw):
+    """An instance with a pointer basis and N_env <= 3, small integers
+    throughout: a rank-1 system-environment block u w^T, a system field along
+    u, environment fields, and, on half the draws, a random integer 3 x 3
+    coupling block for every pair of environment sites (all zero at times)."""
+    n_env = draw(st.integers(1, 3))
+    n = n_env + 1
+
+    def ints(*shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        return np.array(values, dtype=float).reshape(shape)
+
+    u = ints(3)
+    assume(u.any())
+    jt = np.zeros((n, n, 3, 3))
+    jt[0, 1:] = np.outer(u, ints(3 * n_env)).reshape(3, n_env, 3).transpose(1, 0, 2)
+    if draw(st.booleans()):
+        jt[1:, 1:] = np.triu(np.ones((n_env, n_env)), 1)[:, :, None, None] * ints(n_env, n_env, 3, 3)
+    fields = np.vstack([draw(st.integers(-2, 2)) * u, ints(n_env, 3)])
+    return q.ModelInstance(n_env=n_env, j_tensor=jt, fields=fields), u, draw(st.integers(0, 2**32 - 1))
 
 
 @st.composite
@@ -92,6 +118,10 @@ class TestBuildModel:
         ):
             with pytest.raises(ValueError, match=key):
                 q.build_model("CPDI_S", 4, **{key: value})
+        for n_env in (3.5, True, "3"):
+            with pytest.raises(ValueError, match="n_env: expected an integer"):
+                q.build_model("CPDI", n_env)
+        assert q.build_model("CPDI", 3.0).n_env == 3
 
     def test_scramble_zero_disables_intra(self):
         spec = q.build_model("CPDI_S", 4, scramble_half_width=0.0)
@@ -363,6 +393,21 @@ class TestSampleInstance:
         with pytest.raises(ValueError):
             q.ModelInstance(n_env=2, j_tensor=np.zeros((2, 2, 3, 3)), fields=np.zeros((3, 3)))
 
+    def test_instance_entries_are_numbers(self):
+        strung = np.zeros((2, 2, 3, 3)).astype(object)
+        strung[0, 1, 2, 2] = "0.5"
+        for key, jt, fields in (
+            ("j_tensor", strung, np.zeros((2, 3))),
+            ("j_tensor", np.full((2, 2, 3, 3), np.nan), np.zeros((2, 3))),
+            ("fields", np.zeros((2, 2, 3, 3)), [[True, 0, 0], [0, 0, 1]]),
+            ("fields", np.zeros((2, 2, 3, 3)), [[0, 0, 0], [0, 0, "1"]]),
+        ):
+            with pytest.raises(ValueError, match=f"{key}: expected finite real"):
+                q.ModelInstance(n_env=1, j_tensor=jt, fields=fields)
+        inst = q.ModelInstance(n_env=1, j_tensor=np.zeros((2, 2, 3, 3), dtype=int),
+                               fields=[[0, 0, 1], [0, np.float32(0.5), 0]])
+        assert inst.fields.dtype == float and inst.fields[1, 1] == 0.5
+
 
 class TestClassify:
     TABLE = {
@@ -436,6 +481,39 @@ class TestClassify:
             assert abs(verdict.pointer_direction.as_array() @ vecs[:, 0]) == pytest.approx(1.0)
         else:
             assert verdict.pointer_direction is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=records_cases())
+    def test_records_stay_product_exactly_without_intra_couplings(self, case):
+        """With a pointer basis, the environment state conditional on a
+        pointer state, <s|psi(t)>, of a generic product initial state stays a
+        product state exactly when there are no intra-environment couplings
+        (the classified ``no_scrambling``): every site's reduced state stays
+        pure, else some site's purity drops at t = 0.6 or 1.3."""
+        inst, u, seed = case
+        n = inst.n_qubits
+        verdict = q.classify(inst, True)
+        assert verdict.pointer_basis
+        rng = np.random.default_rng(seed)
+        sites = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        psi0 = np.ones(1)
+        for site in sites[::-1]:  # qubit 0 least significant
+            psi0 = np.kron(psi0, site / np.linalg.norm(site))
+        lam, vecs = np.linalg.eigh(oracle_hamiltonian(inst))
+        _, pointer = np.linalg.eigh(sum(c * PAULI[a] for c, a in zip(u, AXES)))
+        impurity = 0.0
+        for t in (0.6, 1.3):
+            psi = vecs @ (np.exp(-1j * lam * t) * (vecs.conj().T @ psi0))
+            for s in pointer.T:
+                env = psi.reshape(-1, 2) @ s.conj()
+                env /= np.linalg.norm(env)
+                for k in range(n - 1):
+                    rho = oracle_reduced_density(env, (k,))
+                    impurity = max(impurity, 1.0 - np.trace(rho @ rho).real)
+        if verdict.no_scrambling:
+            assert impurity < 1e-10
+        else:
+            assert impurity > 1e-4
 
     def test_rank2_coupling_blocks_pointer_basis(self):
         rng = np.random.default_rng(8)
@@ -542,6 +620,12 @@ class TestVec3:
     def test_from_array_shape(self):
         with pytest.raises(ValueError):
             q.Vec3.from_array([1.0, 2.0])
+
+    def test_from_array_takes_numbers_only(self):
+        for bad in (["1", 0, 0], [True, 0, 0], [0.0, np.inf, 0.0]):
+            with pytest.raises(ValueError, match="Vec3: expected finite real"):
+                q.Vec3.from_array(bad)
+        assert q.Vec3.from_array(np.array([1, 2, 3])) == q.Vec3(1.0, 2.0, 3.0)
 
     def test_axes_order(self):
         assert AXES == ("x", "y", "z")
