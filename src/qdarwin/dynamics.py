@@ -2,10 +2,10 @@
 and a dense spectral fallback.
 
 The diagonal path reads its energies from the z-diagonal of H's flip-diagonal
-form in O(2^n). The dense path builds the full H but diagonalizes it block by
-block: each block holds the basis states that share the bits no term of the
-instance flips, read from its x and y terms with no scan of H, so a z-only
-environment coupled to a transverse system gives 2x2 blocks.
+form in O(2^n). The dense path builds and diagonalizes only H's blocks: each
+block holds the basis states that share the bits no term of the instance
+flips, read from its x and y terms with no scan of H, so a z-only environment
+coupled to a transverse system gives 2x2 blocks.
 
 The three engines agree on their common domain. Global phase is never
 normalized away; comparisons should align phases first (see
@@ -238,12 +238,13 @@ class DensePropagator:
     A qubit that no term of the instance flips (no x or y field on it, no x
     or y factor on it in any coupling) keeps its bit under H, so the basis
     states that share those bits form a block of H. The blocks come from the
-    instance's terms, with no scan of H, and are diagonalized in one batched
-    ``eigh``: 2x2 blocks for a z-only environment coupled to a transverse
-    system, 1x1 blocks (H's diagonal) for a z-only H, one block (H itself)
-    when every qubit is flipped. When the flipped qubits are the lowest bits,
-    each block is a run of consecutive basis states and no permutation is
-    applied. Exact for the time-independent Hamiltonians built here;
+    instance's terms, with no scan of H; only they are built, never the full
+    H, and one batched ``eigh`` diagonalizes them: 2x2 blocks (up to 25
+    qubits) for a z-only environment coupled to a transverse system, 1x1
+    blocks for a z-only H, one block (H itself, up to 13 qubits) when every
+    qubit is flipped. When the flipped qubits are the lowest bits, each block
+    is a run of consecutive basis states and no permutation is applied.
+    Exact for the time-independent Hamiltonians built here;
     unitarity holds to the accuracy of the factorization.
     """
 
@@ -260,15 +261,9 @@ class DensePropagator:
         self._order = self._inverse = None
         if flipped & (flipped + 1):
             self._order, self._inverse = order, np.argsort(order)
-        h = hamiltonian_matrix(instance)
-        if blocks.shape[0] > 1:
-            # a copy, so H is released before ``eigh`` allocates; holding it
-            # through ``eigh`` raised the peak memory of CODI sweeps by 3 MiB
-            h = h[blocks[:, :, None], blocks[:, None, :]]
-        else:
-            h = h[None]  # one block in the original order: a view, not a copy
+        h = hamiltonian_matrix(instance, blocks)
         self._energies, self._modes = np.linalg.eigh(h)
-        del h  # release H before the conjugate modes are made
+        del h  # release the blocks of H before the conjugate modes are made
         self._modes_h = np.empty_like(self._modes)
         np.conjugate(self._modes.transpose(0, 2, 1), out=self._modes_h)
 

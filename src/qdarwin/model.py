@@ -27,7 +27,7 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 MODEL_KINDS = ("CPDI", "DPDI", "CODI", "CPDI_S")
 
-HAMILTONIAN_MAX_QUBITS = 13  # dense matrix cap, dimension 8192
+HAMILTONIAN_MAX_QUBITS = 13  # dense cap: 4^13 entries of H built (1 GiB), the 13-qubit matrix
 
 
 @dataclass(frozen=True)
@@ -661,15 +661,35 @@ def _flip_diagonals(instance: ModelInstance) -> dict:
     return diagonals
 
 
-def hamiltonian_matrix(instance: ModelInstance) -> np.ndarray:
-    """Dense Hermitian matrix of the instance on the full register."""
-    n_qubits = instance.n_qubits
-    if n_qubits > HAMILTONIAN_MAX_QUBITS:
-        raise ValueError(
-            f"{n_qubits} qubits exceeds the dense-matrix cap of {HAMILTONIAN_MAX_QUBITS}"
-        )
-    basis = np.arange(1 << n_qubits)
-    h = np.zeros((basis.size, basis.size), dtype=complex)
-    for flip, diagonal in _flip_diagonals(instance).items():
-        h[basis ^ flip, basis] = diagonal
-    return h
+def hamiltonian_matrix(instance: ModelInstance, blocks=None) -> np.ndarray:
+    """Dense Hermitian matrix of the instance, or the stack of its blocks.
+
+    ``blocks``, a (K, s) integer array whose rows partition the basis into
+    sets that H maps into themselves, gives the (K, s, s) stack
+    H[blocks[k][:, None], blocks[k][None, :]], scattered from the
+    flip-diagonal form without the full H; no ``blocks`` gives the full H.
+    ValueError, before the stack exists: rows that are no such partition, or
+    K * s^2 > 4^13 entries.
+    """
+    dim, full = 1 << instance.n_qubits, blocks is None
+    if not full:
+        blocks = np.asarray(blocks)
+        if blocks.ndim != 2 or blocks.dtype.kind not in "iu" or not np.array_equal(
+            np.sort(blocks, axis=None), np.arange(dim)
+        ):
+            raise ValueError("blocks must be a (K, s) integer array, a partition of the basis")
+    k, s = (1, dim) if full else blocks.shape
+    if k * s * s > 4**HAMILTONIAN_MAX_QUBITS:
+        raise ValueError(f"{k * s * s} entries exceed the dense cap of 4^{HAMILTONIAN_MAX_QUBITS}")
+    # state b sits in block blk[b] at pos[b]: H[b ^ f, b] = D_f[b] is h[blk[b], pos[b ^ f], pos[b]]
+    basis = np.arange(dim)
+    blocks = basis[None] if full else blocks
+    blk, pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    blk[blocks], pos[blocks] = np.arange(k)[:, None], np.arange(s)
+    diagonals = _flip_diagonals(instance)
+    if any((blk[basis ^ flip] != blk).any() for flip in diagonals):
+        raise ValueError("blocks are not invariant under H: a term maps a state out of its block")
+    h = np.zeros((k, s, s), dtype=complex)
+    for flip, diagonal in diagonals.items():
+        h[blk, pos[basis ^ flip], pos] = diagonal
+    return h[0] if full else h

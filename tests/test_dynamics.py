@@ -322,6 +322,50 @@ class TestBlockMask:
         assert instance.flip_mask() == scanned_flip_mask(instance)
         assert instance.flip_mask() == (1 if kind == "CODI" else 0)
 
+    @pytest.mark.parametrize("z_fields", [False, True])
+    def test_codi_past_thirteen_qubits_matches_per_string_evolution(self, z_fields):
+        """CODI at N = 14 (15 qubits, above the old 13-qubit dense cap), plain
+        and with z fields on every qubit, against a closed-form evolution per
+        environment z-string e: the system sees E(e) + n(e).sigma with
+        n = b0 + (sum_i B_i s_i) z and E(e) the environment's own z energy,
+        so exp(-iht) = exp(-iEt) (cos(wt) - i sin(wt) n.sigma / w), w = |n|."""
+        start = time.perf_counter()
+        n_env = 14
+        rng = np.random.default_rng(14)
+        instance = q.sample_instance(q.build_model("CODI", n_env), rng)
+        if z_fields:
+            fields = instance.fields.copy()
+            fields[:, 2] = rng.uniform(-1.0, 1.0, n_env + 1)
+            instance = q.ModelInstance(n_env=n_env, j_tensor=instance.j_tensor, fields=fields)
+        psi0 = q.dense_product_state(q.random_product_state(n_env + 1, rng))
+        prop = q.DensePropagator(instance)
+        assert prop._modes.shape == (1 << n_env, 2, 2)
+        # spins of the environment sites, bit i - 1 of the string index e
+        spins = 1 - 2 * ((np.arange(1 << n_env)[:, None] >> np.arange(n_env)) & 1)
+        b = instance.fields[0]
+        nx, ny = np.full(spins.shape[0], b[0]), np.full(spins.shape[0], b[1])
+        nz = b[2] + spins @ instance.j_tensor[0, 1:, 2, 2]
+        energy = spins @ instance.fields[1:, 2]  # CODI has no coupling inside the environment
+        omega = np.sqrt(nx**2 + ny**2 + nz**2)
+        pairs = psi0.amplitudes.reshape(-1, 2)  # row e: system bit clear (s = +1), set (s = -1)
+        for t in (0.5, 2.0, 7.3):
+            cos, sin = np.cos(omega * t), np.sin(omega * t) / omega
+            up = (cos - 1j * sin * nz) * pairs[:, 0] - 1j * sin * (nx - 1j * ny) * pairs[:, 1]
+            down = -1j * sin * (nx + 1j * ny) * pairs[:, 0] + (cos + 1j * sin * nz) * pairs[:, 1]
+            expected = (np.exp(-1j * energy * t)[:, None] * np.stack([up, down], axis=1)).ravel()
+            assert np.max(np.abs(prop.evolve(psi0, t).amplitudes - expected)) <= 1e-10
+        assert time.perf_counter() - start <= 2.0
+
+    def test_generic_instance_on_fourteen_qubits_is_refused(self):
+        # one 2^14 x 2^14 block: 4^14 entries, above the 4^13 cap
+        n = 14
+        fields = np.zeros((n, 3))
+        fields[:, 0] = 0.5
+        instance = q.ModelInstance(n_env=n - 1, j_tensor=np.zeros((n, n, 3, 3)), fields=fields)
+        assert instance.flip_mask() == (1 << n) - 1
+        with pytest.raises(ValueError, match="cap"):
+            q.DensePropagator(instance)
+
     def test_codi_blocks_are_consecutive_pairs(self):
         prop = q.DensePropagator(q.sample_instance(q.build_model("CODI", 8), 0))
         assert prop._modes.shape == (256, 2, 2)

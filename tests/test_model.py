@@ -62,6 +62,33 @@ def pointer_cases(draw):
     return kind, n_env, block.astype(float), b0.astype(float), draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def block_layout_cases(draw):
+    """An instance with N_env <= 4: z fields on every qubit and x/y terms only
+    on a random set of qubits (often not the lowest bits), each flipped qubit
+    with a nonzero transverse field, and the blocks of its never-flipped bits
+    as a partition with shuffled rows and shuffled positions in each row."""
+    n = draw(st.integers(2, 5))
+    flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jt = np.zeros((n, n, 3, 3))
+    fields = np.zeros((n, 3))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in range(3) if flips[i] else (2,):
+                for b in range(3) if flips[j] else (2,):
+                    if rng.random() < 0.4:
+                        jt[i, j, a, b] = rng.uniform(-1.0, 1.0)
+        fields[i, 2] = rng.uniform(-1.0, 1.0)
+        if flips[i]:
+            fields[i, rng.integers(2)] = rng.uniform(0.1, 1.0)
+    instance = q.ModelInstance(n_env=n - 1, j_tensor=jt, fields=fields)
+    basis = np.arange(1 << n)
+    kept = basis & ~instance.flip_mask()
+    blocks = np.array([rng.permutation(basis[kept == g]) for g in rng.permutation(np.unique(kept))])
+    return instance, blocks
+
+
 class TestBuildModel:
     def test_cpdi_structure(self):
         spec = q.build_model("CPDI", 8)
@@ -287,11 +314,12 @@ class TestSampleInstance:
         assert np.array_equal(inst.fields, np.zeros((7, 3)))
 
     def test_coupling_moments(self):
-        # Uniform[-1, 1] has mean 0 and variance 1/3.
-        spec = q.build_model("CPDI", 1)
-        draws = np.array(
-            [q.sample_instance(spec, seed).j_tensor[0, 1, 2, 2] for seed in range(100_000)]
+        # Uniform[-1, 1] has mean 0 and variance 1/3: 100 000 draws, 50 per instance
+        spec = q.build_model("CPDI", 50)
+        draws = np.concatenate(
+            [q.sample_instance(spec, seed).j_tensor[0, 1:, 2, 2] for seed in range(2_000)]
         )
+        assert draws.size == 100_000
         assert abs(draws.mean()) < 0.01
         assert abs(draws.var() - 1.0 / 3.0) < 0.01
 
@@ -605,6 +633,32 @@ class TestHamiltonian:
             h = q.hamiltonian_matrix(inst)
             comm = a_full @ h - h @ a_full
             assert np.max(np.abs(comm)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=block_layout_cases())
+    def test_blocks_are_h_gathered_at_their_states(self, case):
+        instance, blocks = case
+        dim = 1 << instance.n_qubits
+        full = q.hamiltonian_matrix(instance)
+        oracle = oracle_hamiltonian(instance)
+        layouts = [blocks, np.arange(dim)[None]]
+        if instance.is_z_only():
+            layouts.append(np.arange(dim)[:, None])
+        for layout in layouts:
+            stack = q.hamiltonian_matrix(instance, layout)
+            rows, cols = layout[:, :, None], layout[:, None, :]
+            assert np.array_equal(stack, full[rows, cols])
+            assert np.max(np.abs(stack - oracle[rows, cols])) <= 1e-13
+        if not instance.is_z_only():
+            # a flipped qubit moves every state out of its 1 x 1 block
+            with pytest.raises(ValueError, match="invariant"):
+                q.hamiltonian_matrix(instance, np.arange(dim)[:, None])
+        duplicate = blocks.copy()
+        duplicate[0, 0] = duplicate[-1, -1]
+        for bad in (duplicate, blocks + 1, blocks - 1, blocks[:-1], blocks.ravel(),
+                    blocks.astype(float)):
+            with pytest.raises(ValueError, match="partition"):
+                q.hamiltonian_matrix(instance, bad)
 
     def test_dimension_cap(self):
         spec = q.build_model("CPDI", 13)
