@@ -20,10 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    ModelInstance, _as_rng, _flip_diagonals, _number_array, _real, _sites, hamiltonian_matrix,
+    _ENGINE_MAX_ENTRIES, ModelInstance, _as_rng, _block_axes, _flip_diagonals, _integer,
+    _number_array, _real, _sites, hamiltonian_matrix,
 )
-
-DIAGONAL_MAX_QUBITS = 26  # memory guardrail for the phase-vector engine
 
 
 @dataclass(frozen=True)
@@ -32,9 +31,9 @@ class PureState:
 
     A complex128 ndarray is held as given, without a copy: the state shares
     its buffer with the caller, who must not write to it afterwards. Any
-    other input (a list, a real or other-dtype array) is converted to a new
-    complex128 array. ``norm_sq`` is ||psi||^2 from the norm check, within
-    2e-9 of 1.
+    other input (a list, a real or other-dtype array) must hold finite
+    numbers only and is converted to a new complex128 array. ``norm_sq`` is
+    ||psi||^2 from the norm check, within 2e-9 of 1; a NaN norm fails it.
     """
 
     n_qubits: int
@@ -42,14 +41,16 @@ class PureState:
     norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
+        n_qubits = _integer(self.n_qubits, "n_qubits")
+        amps = self.amplitudes
+        if type(amps) is not np.ndarray or amps.dtype != complex:
+            amps = _number_array(amps, "amplitudes", complex)
+        if amps.shape != (1 << n_qubits,):
+            raise ValueError(f"expected {1 << n_qubits} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
+        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "norm_sq", norm * norm)
 
@@ -242,26 +243,18 @@ class DensePropagator:
     H, and one batched ``eigh`` diagonalizes them: 2x2 blocks (up to 25
     qubits) for a z-only environment coupled to a transverse system, 1x1
     blocks for a z-only H, one block (H itself, up to 13 qubits) when every
-    qubit is flipped. When the flipped qubits are the lowest bits, each block
-    is a run of consecutive basis states and no permutation is applied.
+    qubit is flipped. The state's blocks are one transpose of its amplitude
+    tensor, the layout of ``model._block_axes`` that ``hamiltonian_matrix``
+    builds H's blocks in; for CODI's flipped system qubit it is a view.
     Exact for the time-independent Hamiltonians built here;
     unitarity holds to the accuracy of the factorization.
     """
 
     def __init__(self, instance: ModelInstance):
         self.n_qubits = instance.n_qubits
-        flipped = instance.flip_mask()
-        # group the basis states by their never-flipped bits; the stable sort
-        # keeps the flipped bits counting up inside each group, so row b of
-        # ``blocks`` lists the states of block b
-        order = np.argsort(np.arange(1 << self.n_qubits) & ~flipped, kind="stable")
-        blocks = order.reshape(-1, 1 << bin(flipped).count("1"))
-        # with the flipped qubits on the lowest bits every block is a run of
-        # consecutive states, the order is the identity and evolve skips it
-        self._order = self._inverse = None
-        if flipped & (flipped + 1):
-            self._order, self._inverse = order, np.argsort(order)
-        h = hamiltonian_matrix(instance, blocks)
+        self._axes = _block_axes(self.n_qubits, instance.flip_mask())
+        self._axes_back = tuple(np.argsort(self._axes).tolist())
+        h = hamiltonian_matrix(instance, blocked=True)
         self._energies, self._modes = np.linalg.eigh(h)
         del h  # release the blocks of H before the conjugate modes are made
         self._modes_h = np.empty_like(self._modes)
@@ -270,15 +263,12 @@ class DensePropagator:
     def evolve(self, state: PureState, t: float) -> PureState:
         if state.n_qubits != self.n_qubits:
             raise ValueError("state size does not match the propagator")
-        amps = state.amplitudes
-        if self._order is not None:
-            amps = amps[self._order]
-        coeffs = _apply_blocks(self._modes_h, amps.reshape(self._energies.shape))
+        tensor = (2,) * self.n_qubits
+        blocks = state.amplitudes.reshape(tensor).transpose(self._axes)
+        coeffs = _apply_blocks(self._modes_h, blocks.reshape(self._energies.shape))
         coeffs *= np.exp(-1j * self._energies * _real(t, "t"))
-        out = _apply_blocks(self._modes, coeffs).ravel()
-        if self._inverse is not None:
-            out = out[self._inverse]
-        return PureState(self.n_qubits, out)
+        out = _apply_blocks(self._modes, coeffs).reshape(tensor).transpose(self._axes_back)
+        return PureState(self.n_qubits, out.ravel())
 
 
 def _apply_blocks(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -302,18 +292,17 @@ class DiagonalPropagator:
     """Phase evolution for instances whose Hamiltonian is diagonal (z-only).
 
     The energies are the z-diagonal of the instance's flip-diagonal form,
-    built in O(2^n) with no matrix; the register may hold up to 26 qubits.
+    built in O(2^n) with no matrix; the register may hold up to 26 qubits,
+    the engine cap of 2^26 entries.
     """
 
     def __init__(self, instance: ModelInstance):
         if not instance.is_z_only():
             raise ValueError("non-diagonal instance: couplings or fields off the z axis")
-        n_qubits = instance.n_qubits
-        if n_qubits > DIAGONAL_MAX_QUBITS:
-            raise ValueError(
-                f"{n_qubits} qubits exceeds the diagonal-engine cap of {DIAGONAL_MAX_QUBITS}"
-            )
-        self.n_qubits = n_qubits
+        self.n_qubits = instance.n_qubits
+        if 1 << self.n_qubits > _ENGINE_MAX_ENTRIES:
+            raise ValueError(f"{1 << self.n_qubits} amplitudes exceed the engine cap of "
+                             f"{_ENGINE_MAX_ENTRIES}")
         self._energies = _flip_diagonals(instance)[0]
 
     def evolve(self, state: PureState, t: float) -> PureState:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytics import binary_entropy
 from .dynamics import BranchingState, PureState, _site_overlaps
-from .model import _integer, _sites
+from .model import _integer, _number_array, _sites
 
 _EIG_TOL = 1e-9
 _CUT_CACHE_SIZE = 1024
@@ -37,11 +37,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = _number_array(self.matrix, "matrix", complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise ValueError("matrix is not Hermitian within 1e-12")
         tr = complex(np.trace(m)).real

@@ -27,7 +27,9 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 MODEL_KINDS = ("CPDI", "DPDI", "CODI", "CPDI_S")
 
-HAMILTONIAN_MAX_QUBITS = 13  # dense cap: 4^13 entries of H built (1 GiB), the 13-qubit matrix
+# engine cap: no engine array above 2^26 complex entries (1 GiB), so a
+# 26-qubit state and 4^13 entries of H's blocks (the 13-qubit matrix)
+_ENGINE_MAX_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -661,35 +663,37 @@ def _flip_diagonals(instance: ModelInstance) -> dict:
     return diagonals
 
 
-def hamiltonian_matrix(instance: ModelInstance, blocks=None) -> np.ndarray:
+def _block_axes(n_qubits: int, flipped: int) -> tuple:
+    """Axis order of the amplitude tensor, ``amplitudes.reshape((2,) * n)``
+    with axis a on qubit n-1-a as in ``information._cut``, that puts the axes
+    of the ``flipped`` qubits last. A (K, s) reshape of the tensor so
+    transposed has one block of H per row: row k holds the states whose
+    never-flipped bits, packed, read k, each at the column its flipped bits,
+    packed, read. Rows and columns both count up with the basis index."""
+    is_flipped = [(flipped >> (n_qubits - 1 - a)) & 1 for a in range(n_qubits)]
+    return tuple(sorted(range(n_qubits), key=is_flipped.__getitem__))
+
+
+def hamiltonian_matrix(instance: ModelInstance, blocked: bool = False) -> np.ndarray:
     """Dense Hermitian matrix of the instance, or the stack of its blocks.
 
-    ``blocks``, a (K, s) integer array whose rows partition the basis into
-    sets that H maps into themselves, gives the (K, s, s) stack
-    H[blocks[k][:, None], blocks[k][None, :]], scattered from the
-    flip-diagonal form without the full H; no ``blocks`` gives the full H.
-    ValueError, before the stack exists: rows that are no such partition, or
-    K * s^2 > 4^13 entries.
+    ``blocked`` gives the (K, s, s) stack of H's blocks in the layout of
+    ``_block_axes`` over ``flip_mask()``: block k, between the states of row
+    k, scattered from the flip-diagonal form without the full H. A pattern f
+    lies inside the mask, so it maps column c of a row to column c ^ f', f'
+    being f's bits packed onto the flipped qubits. ValueError, before any
+    array of the register's size exists: K * s^2 above the engine cap.
     """
-    dim, full = 1 << instance.n_qubits, blocks is None
-    if not full:
-        blocks = np.asarray(blocks)
-        if blocks.ndim != 2 or blocks.dtype.kind not in "iu" or not np.array_equal(
-            np.sort(blocks, axis=None), np.arange(dim)
-        ):
-            raise ValueError("blocks must be a (K, s) integer array, a partition of the basis")
-    k, s = (1, dim) if full else blocks.shape
-    if k * s * s > 4**HAMILTONIAN_MAX_QUBITS:
-        raise ValueError(f"{k * s * s} entries exceed the dense cap of 4^{HAMILTONIAN_MAX_QUBITS}")
-    # state b sits in block blk[b] at pos[b]: H[b ^ f, b] = D_f[b] is h[blk[b], pos[b ^ f], pos[b]]
-    basis = np.arange(dim)
-    blocks = basis[None] if full else blocks
-    blk, pos = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
-    blk[blocks], pos[blocks] = np.arange(k)[:, None], np.arange(s)
-    diagonals = _flip_diagonals(instance)
-    if any((blk[basis ^ flip] != blk).any() for flip in diagonals):
-        raise ValueError("blocks are not invariant under H: a term maps a state out of its block")
+    n = instance.n_qubits
+    flipped = instance.flip_mask() if blocked else (1 << n) - 1
+    sites = [q for q in range(n) if (flipped >> q) & 1]
+    s = 1 << len(sites)
+    k = (1 << n) // s
+    if k * s * s > _ENGINE_MAX_ENTRIES:
+        raise ValueError(f"{k * s * s} entries of H exceed the engine cap of {_ENGINE_MAX_ENTRIES}")
+    axes, cols = _block_axes(n, flipped), np.arange(s)
     h = np.zeros((k, s, s), dtype=complex)
-    for flip, diagonal in diagonals.items():
-        h[blk, pos[basis ^ flip], pos] = diagonal
-    return h[0] if full else h
+    for flip, diagonal in _flip_diagonals(instance).items():
+        packed = sum(((flip >> q) & 1) << j for j, q in enumerate(sites))
+        h[:, cols ^ packed, cols] = diagonal.reshape((2,) * n).transpose(axes).reshape(k, s)
+    return h if blocked else h[0]

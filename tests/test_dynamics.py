@@ -67,10 +67,11 @@ def block_case(name, rng):
 def assert_matches_oracle(instance, block_size, seed):
     prop = q.DensePropagator(instance)
     assert prop._modes.shape[1:] == (block_size, block_size)
-    # blocks are runs of consecutive states, with no permutation, exactly
-    # when the flipped qubits are the lowest bits
+    # the block layout leaves the amplitude tensor's axes in place, so the
+    # blocks are runs of consecutive states, exactly when the flipped qubits
+    # are the lowest bits
     mask = instance.flip_mask()
-    assert (prop._order is None) == (mask & (mask + 1) == 0)
+    assert (prop._axes == tuple(range(instance.n_qubits))) == (mask & (mask + 1) == 0)
     psi0 = q.dense_product_state(q.random_product_state(instance.n_qubits, seed))
     for t, expected in zip(ORACLE_TIMES, oracle_evolution(instance, psi0, ORACLE_TIMES)):
         assert np.max(np.abs(prop.evolve(psi0, t).amplitudes - expected)) <= 1e-10
@@ -366,10 +367,26 @@ class TestBlockMask:
         with pytest.raises(ValueError, match="cap"):
             q.DensePropagator(instance)
 
+    def test_refused_instance_allocates_nothing_of_its_register(self):
+        """The cap is checked from the block counts before any array of the
+        register's size exists: a 22-qubit register (64 MiB per state)."""
+        n = 22
+        fields = np.zeros((n, 3))
+        fields[:, 0] = 0.5
+        instance = q.ModelInstance(n_env=n - 1, j_tensor=np.zeros((n, n, 3, 3)), fields=fields)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                q.DensePropagator(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_codi_blocks_are_consecutive_pairs(self):
         prop = q.DensePropagator(q.sample_instance(q.build_model("CODI", 8), 0))
         assert prop._modes.shape == (256, 2, 2)
-        assert prop._order is None
+        assert prop._axes == tuple(range(9))  # the blocks are a view of the state
 
 
 @st.composite
@@ -531,6 +548,31 @@ class TestStateTypes:
         assert psi.amplitudes.dtype == np.complex128
         assert psi.amplitudes is not amps
         np.testing.assert_array_equal(psi.amplitudes, np.asarray(amps, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "n_qubits, amps, match",
+        [
+            (1, [np.nan, 0.0], "amplitudes: expected finite"),
+            (1, np.array([np.nan, 0.0]), "amplitudes: expected finite"),
+            (1, ["1", "0"], "amplitudes: expected finite"),
+            (1, [True, False], "amplitudes: expected finite"),
+            (1, np.array([True, False]), "amplitudes: expected finite"),
+            # a complex128 array is held as given; its NaN or infinite norm
+            # fails the norm check
+            (1, np.array([np.nan, 0.0], dtype=complex), "normalized"),
+            (1, np.array([np.inf, 0.0], dtype=complex), "normalized"),
+            (True, [1.0, 0.0], "n_qubits: expected an integer"),
+            (1.5, [1.0, 0.0], "n_qubits: expected an integer"),
+            ("1", [1.0, 0.0], "n_qubits: expected an integer"),
+        ],
+    )
+    def test_pure_state_takes_finite_numbers_only(self, n_qubits, amps, match):
+        with pytest.raises(ValueError, match=match):
+            q.PureState(n_qubits, amps)
+
+    def test_pure_state_takes_an_integral_float_register_size(self):
+        psi = q.PureState(1.0, [1.0, 0.0])
+        assert psi.n_qubits == 1 and type(psi.n_qubits) is int
 
     def test_product_coeffs_norm_enforced(self):
         with pytest.raises(ValueError):

@@ -293,6 +293,15 @@ class TestEntropy:
         with pytest.raises(ValueError):
             q.von_neumann_entropy(q.DensityMatrix(negative))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[["1", "0"], ["0", "0"]], [[True, False], [False, False]], np.eye(2, dtype=bool),
+         [[np.nan, 0.0], [0.0, 1.0]], np.array([[1.0, 0.0], [0.0, np.inf]], dtype=complex)],
+    )
+    def test_density_matrix_takes_finite_numbers_only(self, matrix):
+        with pytest.raises(ValueError, match="matrix: expected finite"):
+            q.DensityMatrix(matrix)
+
     def test_spectrum_out_of_range_is_numerical_error(self):
         negative = np.diag([1.1, -0.1]).astype(complex)
         with pytest.raises(NumericalError, match="beyond tolerance"):

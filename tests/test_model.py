@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qdarwin as q
-from qdarwin.model import AXES
+from qdarwin.model import AXES, _block_axes
 
 from helpers import (
     PAULI, kron_pauli, oracle_hamiltonian, oracle_reduced_density, random_generic_instance,
@@ -66,8 +66,7 @@ def pointer_cases(draw):
 def block_layout_cases(draw):
     """An instance with N_env <= 4: z fields on every qubit and x/y terms only
     on a random set of qubits (often not the lowest bits), each flipped qubit
-    with a nonzero transverse field, and the blocks of its never-flipped bits
-    as a partition with shuffled rows and shuffled positions in each row."""
+    with a nonzero transverse field."""
     n = draw(st.integers(2, 5))
     flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -82,11 +81,7 @@ def block_layout_cases(draw):
         fields[i, 2] = rng.uniform(-1.0, 1.0)
         if flips[i]:
             fields[i, rng.integers(2)] = rng.uniform(0.1, 1.0)
-    instance = q.ModelInstance(n_env=n - 1, j_tensor=jt, fields=fields)
-    basis = np.arange(1 << n)
-    kept = basis & ~instance.flip_mask()
-    blocks = np.array([rng.permutation(basis[kept == g]) for g in rng.permutation(np.unique(kept))])
-    return instance, blocks
+    return q.ModelInstance(n_env=n - 1, j_tensor=jt, fields=fields), rng
 
 
 class TestBuildModel:
@@ -637,28 +632,24 @@ class TestHamiltonian:
     @settings(max_examples=60, deadline=None)
     @given(case=block_layout_cases())
     def test_blocks_are_h_gathered_at_their_states(self, case):
-        instance, blocks = case
-        dim = 1 << instance.n_qubits
-        full = q.hamiltonian_matrix(instance)
-        oracle = oracle_hamiltonian(instance)
-        layouts = [blocks, np.arange(dim)[None]]
-        if instance.is_z_only():
-            layouts.append(np.arange(dim)[:, None])
-        for layout in layouts:
-            stack = q.hamiltonian_matrix(instance, layout)
-            rows, cols = layout[:, :, None], layout[:, None, :]
-            assert np.array_equal(stack, full[rows, cols])
-            assert np.max(np.abs(stack - oracle[rows, cols])) <= 1e-13
-        if not instance.is_z_only():
-            # a flipped qubit moves every state out of its 1 x 1 block
-            with pytest.raises(ValueError, match="invariant"):
-                q.hamiltonian_matrix(instance, np.arange(dim)[:, None])
-        duplicate = blocks.copy()
-        duplicate[0, 0] = duplicate[-1, -1]
-        for bad in (duplicate, blocks + 1, blocks - 1, blocks[:-1], blocks.ravel(),
-                    blocks.astype(float)):
-            with pytest.raises(ValueError, match="partition"):
-                q.hamiltonian_matrix(instance, bad)
+        """The stack is H gathered at a layout built here independently: the
+        basis states stably sorted by their never-flipped bits, so that row k
+        is the k-th group with its flipped bits counting up. The state's
+        blocks, one transpose of its amplitude tensor, take the same layout,
+        and the blocks hold every nonzero entry of H."""
+        instance, rng = case
+        n, mask = instance.n_qubits, instance.flip_mask()
+        basis = np.arange(1 << n)
+        layout = np.argsort(basis & ~mask, kind="stable").reshape(-1, 1 << bin(mask).count("1"))
+        rows, cols = layout[:, :, None], layout[:, None, :]
+        stack = q.hamiltonian_matrix(instance, blocked=True)
+        assert np.array_equal(stack, q.hamiltonian_matrix(instance)[rows, cols])
+        block_diagonal = np.zeros_like(stack, shape=(basis.size,) * 2)
+        block_diagonal[rows, cols] = stack
+        assert np.max(np.abs(block_diagonal - oracle_hamiltonian(instance))) <= 1e-13
+        psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        blocks = psi.reshape((2,) * n).transpose(_block_axes(n, mask)).reshape(layout.shape)
+        assert np.array_equal(blocks, psi[layout])
 
     def test_dimension_cap(self):
         spec = q.build_model("CPDI", 13)
