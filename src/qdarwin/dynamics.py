@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import (
     _ENGINE_MAX_ENTRIES, ModelInstance, _as_rng, _block_axes, _flip_diagonals, _integer,
-    _number_array, _real, _sites, hamiltonian_matrix,
+    _number_array, _positive_integer, _real, _sites, hamiltonian_matrix,
 )
 
 
@@ -167,8 +167,7 @@ def random_product_state(n_qubits: int, seed) -> ProductCoeffs:
     """Draw a product state site by site: |a|^2 uniform on [0, 1], the phases
     of both amplitudes independent uniform on [0, 2*pi). Deterministic in
     ``seed``; per-site draw order is (weight, phase of a, phase of b)."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    n_qubits = _positive_integer(n_qubits, "n_qubits")
     rng = _as_rng(seed)
     draws = rng.random((n_qubits, 3))  # per site: weight, phase of a, phase of b
     u = draws[:, :1]

@@ -1,20 +1,24 @@
 """Seeded Monte Carlo sweeps over coupling realizations and initial states,
 averaged on a (time x fragment-size) grid, plus the two figure pipelines.
 
-Each realization r is reproducible in isolation: its generator is seeded with
-``mix_seed(master_seed, r)`` and draws, in order, the model instance, the
-initial product state, and (for the random-subset policy) the fragments.
-Each sweep runs the one exact solution its model's structure admits: the
-branching closed form for pure system-environment dephasing, the diagonal
-propagator for other z-only models, and the dense propagator otherwise.
-Realizations are drawn in index order and evaluated in chunks: the state
-engines take each realization's states and entropies in turn, and the
+Each realization r is reproducible in isolation: ``_realization`` seeds its
+generator with ``mix_seed(master_seed, r)`` and draws, in order, the model
+instance, the initial product state, and (for the random-subset policy) the
+fragments. Each sweep runs the one exact solution its model's structure
+admits: the branching closed form for pure system-environment dephasing, the
+diagonal propagator for other z-only models, and the dense propagator
+otherwise. Realizations are drawn in index order and evaluated in chunks: the
+state engines take each realization's states and entropies in turn, and the
 branching closed form runs once per chunk over the chunk's stacked
-realizations. Each finished chunk is folded into running sums and dropped, so
-a sweep's memory does not grow with its realization count. Every
-per-realization value, mean and standard error is bit-identical whatever the
-chunk size, and a realization does not depend on how many follow it, so a
-sweep is deterministic in its config alone.
+realizations; each draw is reduced to what its engine reads as it is made,
+so a chunk holds one model instance at a time. Either way a chunk yields one
+layout, a (realization, time, size) table per quantity, with S_S repeated
+over the size axis so that it is folded per cell like the rest. Each
+finished chunk is folded into running sums and dropped, so a sweep's memory
+does not grow with its realization count. Every per-realization value, mean
+and standard error is bit-identical whatever the chunk size, and a
+realization does not depend on how many follow it, so a sweep is
+deterministic in its config alone.
 
 A realization's fragments are one boolean table ``masks[F, S, N]``: F
 fragment sizes, S subsets per size (1 for the prefix policy,
@@ -25,6 +29,7 @@ fragment sizes, S subsets per size (1 for the prefix policy,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Mapping
 
 import numpy as np
@@ -40,6 +45,7 @@ from .information import NumericalError, _closed_form_tables, subsystem_entropy
 from .model import (
     ModelSpec,
     _integer,
+    _positive_integer,
     _real,
     _reject_unknown_keys,
     build_model,
@@ -54,19 +60,22 @@ _MASK64 = (1 << 64) - 1
 # a fig3 CPDI + DPDI job by ~10 % but raised its peak memory by ~1.5 %.
 _CHUNK_BYTES = 64 * 1024
 
+# The sweep's per-realization (T, F) tables, in folding order: every engine
+# yields the first three, the branching closed form the Holevo pair as well.
+_TABLES = ("i", "s", "ratio", "chi", "discord")
+
 FRAGMENT_POLICIES = ("prefix", "random")
-_OVERRIDE_KEYS = ("half_width", "support", "scramble_half_width")
 _CONFIG_KEYS = (
     "model", "n_env", "time_grid", "fragment_sizes", "realizations", "master_seed",
     "overrides", "fragment_policy", "subsets_per_realization",
 )
-_INTEGER_KEYS = ("n_env", "realizations", "master_seed", "subsets_per_realization")
 
 
 def mix_seed(master_seed: int, index: int) -> int:
     """Derive the per-realization seed: splitmix64 finalizer applied to
     ``master_seed + (index + 1) * 0x9E3779B97F4A7C15`` (all mod 2^64)."""
-    x = (int(master_seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    master_seed, index = _integer(master_seed, "master_seed"), _integer(index, "index")
+    x = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
@@ -94,10 +103,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "model", canonical_kind(self.model))
-        for key in _INTEGER_KEYS:
-            object.__setattr__(self, key, _integer(getattr(self, key), key))
-        if self.n_env < 1:
-            raise ValueError(f"n_env must be >= 1, got {self.n_env}")
+        for key in ("n_env", "realizations", "subsets_per_realization"):
+            object.__setattr__(self, key, _positive_integer(getattr(self, key), key))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
         times = tuple(_real(t, "time_grid") for t in self.time_grid)
         if not times:
             raise ValueError("time_grid must be nonempty")
@@ -112,19 +120,12 @@ class ExperimentConfig:
             raise ValueError(f"fragment sizes must lie in 0..{self.n_env}, got {sizes}")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("fragment_sizes must be strictly increasing")
-        if self.realizations < 1:
-            raise ValueError(f"realizations must be >= 1, got {self.realizations}")
-        if self.subsets_per_realization < 1:
-            raise ValueError("subsets_per_realization must be >= 1")
         if self.fragment_policy not in FRAGMENT_POLICIES:
             raise ValueError(f"fragment_policy must be one of {FRAGMENT_POLICIES}")
         if self.fragment_policy == "prefix" and self.subsets_per_realization != 1:
             raise ValueError("the prefix fragment policy takes subsets_per_realization = 1")
         overrides = dict(self.overrides)
-        unknown = set(overrides) - set(_OVERRIDE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown override keys {sorted(unknown)}; allowed: {_OVERRIDE_KEYS}")
-        build_model(self.model, self.n_env, **overrides)  # the builder checks every value
+        build_model(self.model, self.n_env, **overrides)  # the builder checks every key and value
         object.__setattr__(self, "time_grid", times)
         object.__setattr__(self, "fragment_sizes", sizes)
         object.__setattr__(self, "overrides", overrides)
@@ -209,8 +210,18 @@ def _draw_fragments(rng, config: ExperimentConfig, n_env: int) -> np.ndarray:
     return np.argsort(perms, axis=-1) < sizes  # a site's rank in its permutation
 
 
+def _realization(spec: ModelSpec, config: ExperimentConfig, r: int):
+    """Realization r's documented draw from its own generator: the instance,
+    the initial product state (system site first) and the fragment masks."""
+    rng = np.random.default_rng(mix_seed(config.master_seed, r))
+    instance = sample_instance(spec, rng)
+    init = random_product_state(spec.n_env + 1, rng)
+    return instance, init, _draw_fragments(rng, config, spec.n_env)
+
+
 def _state_tables(propagator, init, times, masks):
-    """I and S_S from explicit states and partial-trace entropies."""
+    """I of shape (T, F) and S_S of shape (T,) from explicit states and
+    partial-trace entropies."""
     psi0 = dense_product_state(init)
     # (fragment, system + fragment) kept-qubit tuples, built once per realization
     frags = [[tuple((np.flatnonzero(row) + 1).tolist()) for row in rows] for rows in masks]
@@ -233,33 +244,32 @@ def _state_tables(propagator, init, times, masks):
 
 
 class _RunningStats:
-    """Per-cell mean and standard error of per-realization blocks that arrive
-    a chunk at a time, held in O(cells) memory whatever the realization count.
+    """Per-cell mean and standard error of equal-shape (rows, T, F) tables
+    that arrive a chunk at a time, held in O(cells) memory whatever the
+    realization count.
 
-    Each chunk's blocks are packed into rows, one per realization. Three
-    running sums, of x, of d = x - x_0 and of d^2 with x_0 realization 0's
-    row, each grow by one reduce over the running sum stacked on top of the
-    chunk's rows. A row has at least two cells, so numpy adds down axis 0 one
-    row after the other: every sum adds in realization order, the mean is
-    bit-identical to ``np.mean(axis=0)`` over all rows, and nothing depends on
-    the chunk size. Shifting by x_0 keeps sum(d^2) - sum(d)^2 / R free of the
-    cancellation the raw second moment suffers.
+    Each chunk's tables are stacked side by side, one row per realization.
+    Three running sums, of x, of d = x - x_0 and of d^2 with x_0 realization
+    0's row, each grow by one reduce over the running sum stacked on top of
+    the chunk's rows. Every engine folds at least three tables, so a row has
+    at least two cells and numpy adds down axis 0 one row after the other:
+    every sum adds in realization order, the mean is bit-identical to
+    ``np.mean(axis=0)`` over all rows, and nothing depends on the chunk size.
+    Shifting by x_0 keeps sum(d^2) - sum(d)^2 / R free of the cancellation the
+    raw second moment suffers.
     """
 
     def __init__(self):
         self.count = 0
-        self.shapes = self.shift = self.sums = None
+        self.shift = self.sums = None
 
-    def add(self, blocks) -> None:
-        rows = blocks[0].shape[0]
-        if self.shapes is None:
-            self.shapes = [b.shape[1:] for b in blocks]
-            cells = sum(int(np.prod(shape)) for shape in self.shapes)
-            self.sums = np.zeros((3, cells))
-        stack = np.empty((rows + 1, self.sums.shape[1]))
+    def add(self, tables) -> None:
+        rows = tables[0].shape[0]
+        stack = np.empty((rows + 1, len(tables), *tables[0].shape[1:]))
         data = stack[1:]
-        np.concatenate([b.reshape(rows, -1) for b in blocks], axis=1, out=data)
-        if self.shift is None:
+        np.stack(tables, axis=1, out=data)
+        if self.sums is None:
+            self.sums = np.zeros((3, *data.shape[1:]))
             self.shift = data[0].copy()
         for k in range(3):  # data holds x, then d, then d^2
             if k == 1:
@@ -270,8 +280,9 @@ class _RunningStats:
             np.add.reduce(stack, axis=0, out=self.sums[k])
         self.count += rows
 
-    def mean_stderr(self) -> list:
-        """[(mean, stderr)] per block, in the order ``add`` took them."""
+    def mean_stderr(self) -> tuple:
+        """Means and standard errors, each of shape (tables, T, F) in the
+        order ``add`` took the tables."""
         n = self.count
         total, dev, dev_sq = self.sums
         mean = total / n
@@ -282,11 +293,7 @@ class _RunningStats:
             if np.any(spread < -4.0 * n * np.finfo(float).eps * dev_sq):
                 raise NumericalError("negative variance beyond rounding in a sweep cell")
             stderr = np.sqrt(np.maximum(spread, 0.0) / (n - 1)) / np.sqrt(n)
-        bounds = np.cumsum([int(np.prod(shape)) for shape in self.shapes])[:-1]
-        return [
-            (m.reshape(shape), e.reshape(shape))
-            for m, e, shape in zip(np.split(mean, bounds), np.split(stderr, bounds), self.shapes)
-        ]
+        return mean, stderr
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -300,73 +307,63 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     times = np.asarray(config.time_grid)
     sizes = np.asarray(config.fragment_sizes, dtype=int)
     r_count = config.realizations
-    has_holevo = engine == "branching"
+    propagator = DiagonalPropagator if engine == "diagonal" else DensePropagator
 
     stats = _RunningStats()
-    kept = []  # per-chunk blocks, with keep_realizations
+    kept = []  # per-chunk tables, with keep_realizations
     n_zeroed = 0
     cell_bytes = 16 * config.subsets_per_realization * times.size * sizes.size
     chunk = max(1, _CHUNK_BYTES // cell_bytes)
     for start in range(0, r_count, chunk):
-        rows = min(chunk, r_count - start)
-        alpha0_sq = np.empty(rows)
-        weights, site_coeffs, fields, masks = [], [], [], []
-        if not has_holevo:
-            i_blk = np.empty((rows, times.size, sizes.size))
-            s_blk = np.empty((rows, times.size))
-        for j in range(rows):
-            rng = np.random.default_rng(mix_seed(config.master_seed, start + j))
-            instance = sample_instance(spec, rng)
-            init = random_product_state(spec.n_env + 1, rng)
-            frags = _draw_fragments(rng, config, spec.n_env)
-            (alpha0, beta0), env_coeffs = init.coeffs[0], init.coeffs[1:]
-            # the scalar abs: np.abs on complex arrays rounds differently
-            alpha0_sq[j] = abs(alpha0) ** 2
-            if has_holevo:
-                weights.append(alpha0_sq[j] * abs(beta0) ** 2)
-                site_coeffs.append(env_coeffs)
-                fields.append(instance.j_tensor[0, 1:, 2, 2])
-                masks.append(frags)
-            else:
-                # the state engines take I and S_S from explicit states
-                propagator = (
-                    DiagonalPropagator(instance) if engine == "diagonal"
-                    else DensePropagator(instance)
-                )
-                i_blk[j], s_blk[j] = _state_tables(propagator, init, times, frags)
-        if has_holevo:
+        stop = min(start + chunk, r_count)
+        draws = (_realization(spec, config, r) for r in range(start, stop))  # drawn lazily
+        if engine == "branching":
+            # the closed form reads only the system-environment couplings,
+            # copied out so that a view does not keep the instance alive
+            inits, fields, masks = zip(*[
+                (init, instance.j_tensor[0, 1:, 2, 2].copy(), frags)
+                for instance, init, frags in draws
+            ])
+            coeffs = [init.coeffs for init in inits]
             i_blk, chi_blk, s_blk = _closed_form_tables(
-                np.array(weights), np.array(site_coeffs), np.array(fields), times,
-                np.array(masks),
+                # the scalar abs: np.abs on complex arrays rounds differently
+                np.array([abs(c[0, 0]) ** 2 * abs(c[0, 1]) ** 2 for c in coeffs]),
+                np.array([c[1:] for c in coeffs]), np.array(fields), times, np.array(masks),
             )
+            holevo = [chi_blk, i_blk - chi_blk]
+        else:
+            # the state engines take I and S_S from explicit states
+            inits, i_rows, s_rows = zip(*[
+                (init, *_state_tables(propagator(instance), init, times, frags))
+                for instance, init, frags in draws
+            ])
+            i_blk, s_blk = np.array(i_rows), np.array(s_rows)
+            holevo = []
 
+        alpha0_sq = np.array([abs(init.coeffs[0, 0]) ** 2 for init in inits])
         smax = binary_entropy(alpha0_sq)
         # a system with no branch entropy to share has its ratio row set to 0
         zeroed = smax <= 1e-12
         n_zeroed += int(np.count_nonzero(zeroed))
         ratio = i_blk / np.where(zeroed, 1.0, smax)[:, None, None]
         ratio[zeroed] = 0.0
-        blocks = [i_blk, s_blk, ratio]
-        if has_holevo:
-            blocks += [chi_blk, i_blk - chi_blk]
-        stats.add(blocks)
+        tables = [i_blk, s_blk, ratio, *holevo]  # in _TABLES order
+        # S_S, of shape (rows, T), is repeated over the size axis to fold per cell
+        stats.add([
+            t if t.ndim == 3 else np.broadcast_to(t[:, :, None], i_blk.shape) for t in tables
+        ])
         if config.keep_realizations:
-            kept.append([*blocks, smax])
+            kept.append([*tables, smax])
 
-    (i_mean, i_stderr), (s_mean_t, s_stderr_t), (ratio_mean, ratio_stderr), *holevo = (
-        stats.mean_stderr()
-    )
-    if has_holevo:
-        (chi_mean, chi_stderr), (d_mean, d_stderr) = holevo
-    else:
-        nan_grid = np.full((times.size, sizes.size), np.nan)
-        chi_mean = chi_stderr = d_mean = d_stderr = nan_grid
-    values = {}
+    means, stderrs = stats.mean_stderr()
+    # the tables an engine does not yield are NaN grids
+    nan_grid = np.full((times.size, sizes.size), np.nan)
+    named = {}
+    for name, mean, stderr in zip_longest(_TABLES, means, stderrs, fillvalue=nan_grid):
+        named[f"{name}_mean"], named[f"{name}_stderr"] = mean, stderr
     if config.keep_realizations:
-        names = ["i_values", "s_values", "ratio_values"]
-        names += ["chi_values", "discord_values"] if has_holevo else []
-        values = dict(zip([*names, "smax_values"], map(np.concatenate, zip(*kept))))
-    ones = np.ones((1, sizes.size))
+        names = [f"{name}_values" for name in _TABLES[:len(means)]] + ["smax_values"]
+        named.update(zip(names, map(np.concatenate, zip(*kept))))
 
     return SweepResult(
         config=config,
@@ -374,19 +371,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         times=times,
         fragment_sizes=sizes,
         realizations=r_count,
-        has_holevo=has_holevo,
-        i_mean=i_mean,
-        i_stderr=i_stderr,
-        chi_mean=chi_mean,
-        chi_stderr=chi_stderr,
-        discord_mean=d_mean,
-        discord_stderr=d_stderr,
-        s_mean=s_mean_t[:, None] * ones,
-        s_stderr=s_stderr_t[:, None] * ones,
-        ratio_mean=ratio_mean,
-        ratio_stderr=ratio_stderr,
+        has_holevo=engine == "branching",
         smax_zeroed=n_zeroed,
-        **values,
+        **named,
     )
 
 

@@ -18,7 +18,7 @@ import sys
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -144,11 +144,21 @@ def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
 def _integer(value, key: str) -> int:
     """``value`` as an int; raise ValueError naming ``key`` for a bool or a
     value that is not an integral number (an integral float such as 2.0 passes)."""
+    # a plain int first: the Integral check is an abstract-class lookup
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
     raise ValueError(f"{key}: expected an integer, got {value!r}")
+
+
+def _positive_integer(value, key: str) -> int:
+    """``value`` through ``_integer``, required to be at least 1 (a register
+    size or a count); raise ValueError naming ``key`` otherwise."""
+    n = _integer(value, key)
+    if n < 1:
+        raise ValueError(f"{key} must be >= 1, got {n}")
+    return n
 
 
 def _sites(values, lo, hi, key: str) -> tuple:
@@ -302,9 +312,7 @@ class ModelSpec:
     def __post_init__(self):
         if not isinstance(self.label, str):
             raise ValueError(f"label: expected a string, got {self.label!r}")
-        n_env = _integer(self.n_env, "n_env")
-        if n_env < 1:
-            raise ValueError(f"n_env must be >= 1, got {n_env}")
+        n_env = _positive_integer(self.n_env, "n_env")
         object.__setattr__(self, "n_env", n_env)
         for name in _KEY_FIELDS:
             laws = dict(getattr(self, name))
@@ -407,6 +415,7 @@ class ModelInstance:
     fields: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_env", _positive_integer(self.n_env, "n_env"))
         n = self.n_env + 1
         jt = _number_array(self.j_tensor, "j_tensor")
         fl = _number_array(self.fields, "fields")
@@ -477,13 +486,16 @@ def canonical_kind(kind: str) -> str:
     return k
 
 
-def build_model(
-    kind: str,
-    n_env: int,
-    half_width: float = 1.0,
-    support: Sequence[float] = (-1.0, -0.5, 0.5, 1.0),
-    scramble_half_width: float = 0.03,
-) -> ModelSpec:
+# The parameters each reference model reads, with their defaults.
+_MODEL_PARAMETERS = {
+    "CPDI": {"half_width": 1.0},
+    "DPDI": {"support": (-1.0, -0.5, 0.5, 1.0)},
+    "CODI": {"half_width": 1.0},
+    "CPDI_S": {"half_width": 1.0, "scramble_half_width": 0.03},
+}
+
+
+def build_model(kind: str, n_env: int, **overrides) -> ModelSpec:
     """Build one of the four reference models.
 
     All four couple the system to every environment site through ``z z``
@@ -492,26 +504,27 @@ def build_model(
     CODI adds the transverse system field (0, 1, 0); CPDI_S adds ``z z``
     couplings inside the environment drawn from
     ``[-scramble_half_width, scramble_half_width]`` (0 disables them).
+    ``overrides`` replace the defaults in ``_MODEL_PARAMETERS``; one the model
+    does not read raises ValueError naming the key and the model.
     """
     kind = canonical_kind(kind)
-    n_env = _integer(n_env, "n_env")
-    if n_env < 1:
-        raise ValueError(f"n_env must be >= 1, got {n_env}")
-    if _real(half_width, "half_width") <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    if _real(scramble_half_width, "scramble_half_width") < 0:
-        raise ValueError(f"scramble_half_width must be >= 0, got {scramble_half_width}")
-    support = tuple(_real(v, "support") for v in support)
+    n_env = _positive_integer(n_env, "n_env")
+    defaults = _MODEL_PARAMETERS[kind]
+    _reject_unknown_keys(overrides, defaults, f"the overrides of {kind}")
+    params = {**defaults, **overrides}
     if kind == "DPDI":
-        coupling = DiscreteUniform(support)  # validates support
+        coupling = DiscreteUniform(params["support"])  # validates support
     else:
-        coupling = ContinuousUniform(float(half_width))
+        coupling = ContinuousUniform(_real(params["half_width"], "half_width"))
+    scramble_half_width = _real(params.get("scramble_half_width", 0.0), "scramble_half_width")
+    if scramble_half_width < 0:
+        raise ValueError(f"scramble_half_width must be >= 0, got {scramble_half_width}")
 
     sys_env = {("z", j, "z"): coupling for j in range(1, n_env + 1)}
     b0 = Vec3(0.0, 1.0, 0.0) if kind == "CODI" else Vec3.zero()
     intra_env = {}
-    if kind == "CPDI_S" and scramble_half_width > 0:
-        scramble = ContinuousUniform(float(scramble_half_width))
+    if scramble_half_width > 0:
+        scramble = ContinuousUniform(scramble_half_width)
         intra_env = {
             (i, j, "z", "z"): scramble
             for i in range(1, n_env + 1)

@@ -295,12 +295,15 @@ class TestSweepCommand:
             config = write_sweep_config(tmp_path, **{key: value})
             assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
             assert key in capsys.readouterr().err
-        for key, value in (
-            ("support", "15"), ("half_width", True), ("scramble_half_width", float("nan")),
+        # each override goes to a model that reads it, so its value check refuses it
+        for model, key, value in (
+            ("DPDI", "support", "15"), ("CPDI", "half_width", True),
+            ("CPDI_S", "scramble_half_width", float("nan")),
         ):
-            config = write_sweep_config(tmp_path, overrides={key: value})
+            config = write_sweep_config(tmp_path, model=model, overrides={key: value})
             assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
-            assert key in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert key in err and "unknown key" not in err
         out = str(tmp_path / "x.csv")
         for flag, key in (("--scramble", "scramble_half_width"), ("--half-width", "half_width")):
             assert main(["fig3", "--model", "CPDI-S", flag, "nan", "--out", out]) == 2
@@ -308,6 +311,26 @@ class TestSweepCommand:
         # an integral float is an integer
         config = write_sweep_config(tmp_path, realizations=2.0, fragment_sizes=[0.0, 3.0])
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 0
+
+
+    def test_override_the_model_does_not_read_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        for model, flag, value, key in (
+            ("CPDI", "--support", "1,2", "support"), ("DPDI", "--half-width", "5", "half_width"),
+            ("CODI", "--scramble", "0.5", "scramble_half_width"),
+        ):
+            assert main(["fig3", "--model", model, "--n-env", "2", flag, value,
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert model in err and key in err
+            config = write_sweep_config(tmp_path, model=model, overrides={key: float(value[0])})
+            assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert model in err and key in err
+        assert not out.exists()
+        # the parameters a model does read still run
+        assert main(["fig3", "--model", "DPDI", "--n-env", "2", "--realizations", "2",
+                     "--support", "1,2", "--out", str(out)]) == 0
 
 
 class TestUsageErrors:

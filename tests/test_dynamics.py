@@ -116,6 +116,12 @@ class TestRandomProductState:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             q.random_product_state(0, 1)
+        for bad in (True, 2.5, "2"):
+            with pytest.raises(ValueError, match="n_qubits: expected an integer"):
+                q.random_product_state(bad, 1)
+        # an integral float is an integer, as everywhere else
+        np.testing.assert_array_equal(q.random_product_state(2.0, 5).coeffs,
+                                      q.random_product_state(2, 5).coeffs)
 
 
 class TestBranchingEvolution:
@@ -392,8 +398,9 @@ class TestBlockMask:
 @st.composite
 def z_only_instances(draw):
     """Diagonal instances with z fields and zz couplings on any pair of
-    qubits, intra-environment pairs included, each present or not."""
-    n = draw(st.integers(1, 6))
+    qubits, intra-environment pairs included, each present or not. An
+    instance has at least one environment site."""
+    n = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     jt = np.zeros((n, n, 3, 3))
     rows, cols = np.triu_indices(n, 1)

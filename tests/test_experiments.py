@@ -1,14 +1,19 @@
 import dataclasses
 import json
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdarwin as q
 from qdarwin import experiments, information
 from qdarwin.cli import write_sidecar
 from qdarwin.experiments import _fig3_time_grid
+
+from helpers import oracle_entropy, oracle_hamiltonian, oracle_reduced_density
 
 
 def small_config(**kwargs):
@@ -34,6 +39,13 @@ class TestMixSeed:
     def test_distinct_per_index(self):
         seeds = {q.mix_seed(0, r) for r in range(1000)}
         assert len(seeds) == 1000
+
+    def test_arguments_are_checked_integers(self):
+        for args, key in (((1.5, 0), "master_seed"), ((True, 0), "master_seed"),
+                          ((1, 2.9), "index"), ((1, "2"), "index")):
+            with pytest.raises(ValueError, match=f"{key}: expected an integer"):
+                q.mix_seed(*args)
+        assert q.mix_seed(123456789.0, 0.0) == q.mix_seed(123456789, 0)
 
 
 class TestConfig:
@@ -194,11 +206,13 @@ class TestRunSweep:
 
     def test_variance_clamp_is_bounded(self):
         stats = experiments._RunningStats()
-        stats.add([np.full((4, 2), 0.3), np.full((4, 1), -2.0)])
-        assert all(np.array_equal(se, np.zeros_like(se)) for _, se in stats.mean_stderr())
+        stats.add([np.full((4, 1, 2), 0.3), np.full((4, 1, 2), -2.0)])
+        _, stderr = stats.mean_stderr()
+        assert stderr.shape == (2, 1, 2)
+        assert np.array_equal(stderr, np.zeros_like(stderr))
         # a spread below zero by more than rounding is a numerical failure
-        stats.add([np.array([[0.3, 0.7]]), np.array([[-2.0]])])
-        stats.sums[2, 1] = 0.0  # sum(d^2) below sum(d)^2 / R
+        stats.add([np.array([[[0.3, 0.7]]]), np.array([[[-2.0, -2.0]]])])
+        stats.sums[2, 0, 0, 1] = 0.0  # sum(d^2) below sum(d)^2 / R
         with pytest.raises(information.NumericalError, match="negative variance"):
             stats.mean_stderr()
 
@@ -310,6 +324,129 @@ class TestRunSweep:
         np.testing.assert_array_equal(res.value_grid("I"), res.i_mean)
         with pytest.raises(ValueError):
             res.value_grid("entropy")
+
+
+XY_PAIRS = [a + b for a in "xyz" for b in "xyz" if a + b != "zz"]
+HALF_WIDTHS = st.sampled_from((0.5, 1.0, 2.0))
+
+
+@st.composite
+def sweep_specs(draw):
+    """A spec of 1..5 environment sites aimed at one engine: pure zz dephasing
+    (branching); zz couplings plus a system z field, intra couplings or
+    environment z fields (diagonal); or that with x or y terms in one place,
+    the system field, the system couplings, the intra couplings or an
+    environment field (dense)."""
+    n = draw(st.integers(1, 5))
+    target = draw(st.sampled_from(("branching", "diagonal", "dense")))
+    places = ["b0", "env_fields"] + ["intra_env"] * (n > 1)  # intra couplings need 2 sites
+    extras = set()
+    if target != "branching":
+        extras = draw(st.sets(st.sampled_from(places), min_size=target == "diagonal"))
+    transverse = draw(st.sampled_from(["sys_env", *places])) if target == "dense" else None
+
+    def law():
+        return q.ContinuousUniform(draw(HALF_WIDTHS))
+
+    def axes(where):
+        return draw(st.sampled_from(XY_PAIRS)) if where == transverse else "zz"
+
+    sites = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    sys_env = {(a, site, b): law() for site in sites for a, b in [axes("sys_env")]}
+    b0 = [0.0, 0.0, draw(st.sampled_from((-1.0, 0.6))) if "b0" in extras else 0.0]
+    if transverse == "b0":
+        b0[draw(st.integers(0, 1))] = draw(st.sampled_from((-0.8, 1.0)))
+    intra_env, env_fields = {}, {}
+    if "intra_env" in extras or transverse == "intra_env":
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for i, j in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
+            a, b = axes("intra_env")
+            intra_env[i, j, a, b] = law()
+    if "env_fields" in extras or transverse == "env_fields":
+        for site in draw(st.lists(st.integers(1, n), min_size=1, unique=True)):
+            env_fields[site, "z"] = law()
+        if transverse == "env_fields":
+            env_fields[draw(st.integers(1, n)), draw(st.sampled_from("xy"))] = law()
+    return q.ModelSpec(label="random", n_env=n, b0=q.Vec3(*b0), sys_env=sys_env,
+                       intra_env=intra_env, env_fields=env_fields)
+
+
+def structural_engine(spec):
+    """The engine the README's rule names: dense for any x or y term, the
+    branching form for system-environment zz couplings alone, else diagonal."""
+    keys = [*spec.sys_env, *spec.intra_env, *spec.env_fields]
+    axes = "".join(part for key in keys for part in key if isinstance(part, str))
+    if spec.b0.x or spec.b0.y or set(axes) & set("xy"):
+        return "dense"
+    if spec.b0.is_zero() and not spec.intra_env and not spec.env_fields:
+        return "branching"
+    return "diagonal"
+
+
+class TestSweepOracle:
+    """Every engine's sweep tables, realization by realization, against the
+    README's documented draw evolved by a full eigendecomposition of the
+    independently built Hamiltonian."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=sweep_specs(),
+        times=st.lists(st.floats(0.0, 3.0, allow_subnormal=False), min_size=1, max_size=3,
+                       unique=True).map(sorted),
+        data=st.data(),
+        policy=st.sampled_from(("prefix", "random")),
+        realizations=st.integers(1, 3),
+        master_seed=st.integers(0, 2**64 - 1),
+    )
+    def test_sweep_matches_the_eigh_oracle(self, spec, times, data, policy,
+                                           realizations, master_seed):
+        n = spec.n_env
+        sizes = sorted(data.draw(st.sets(st.integers(0, n), min_size=1)))
+        subsets = data.draw(st.integers(1, 3)) if policy == "random" else 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "build_model", lambda kind, n_env, **overrides: spec)
+            config = q.ExperimentConfig(
+                model="CPDI", n_env=n, time_grid=times, fragment_sizes=sizes,
+                realizations=realizations, master_seed=master_seed, fragment_policy=policy,
+                subsets_per_realization=subsets, keep_realizations=True,
+            )
+            res = q.run_sweep(config)
+        assert res.engine == structural_engine(spec)
+        i_oracle = np.empty((realizations, len(times), len(sizes)))
+        s_oracle = np.empty((realizations, len(times)))
+        for r in range(realizations):
+            rng = np.random.default_rng(q.mix_seed(master_seed, r))
+            instance = q.sample_instance(spec, rng)
+            init = q.random_product_state(n + 1, rng)
+            fragments = [
+                [rng.permutation(np.arange(1, n + 1))[:size] for _ in range(subsets)]
+                if policy == "random" else [np.arange(1, size + 1)]
+                for size in sizes
+            ]
+            energies, modes = np.linalg.eigh(oracle_hamiltonian(instance))
+            # site k on bit k: the system's pair is the last Kronecker factor
+            psi0 = reduce(np.kron, init.coeffs[::-1])
+            for ti, t in enumerate(times):
+                psi = modes @ (np.exp(-1j * energies * t) * (modes.conj().T @ psi0))
+
+                def entropy(keep):
+                    return oracle_entropy(oracle_reduced_density(psi, list(keep)))
+
+                s_sys = s_oracle[r, ti] = entropy([0])
+                for fi, frags in enumerate(fragments):
+                    i_oracle[r, ti, fi] = np.mean(
+                        [s_sys + entropy(f) - entropy([0, *f]) for f in frags]
+                    )
+        np.testing.assert_allclose(res.i_values, i_oracle, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.s_values, s_oracle, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.i_mean, i_oracle.mean(axis=0), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.s_mean, np.repeat(s_oracle.mean(axis=0)[:, None],
+                                                         len(sizes), axis=1), rtol=0, atol=1e-9)
+        if res.engine == "branching":
+            assert np.all(res.chi_values >= -1e-9)
+            assert np.all(res.chi_values <= res.i_values + 1e-9)
+        else:
+            assert res.chi_values is None and np.isnan(res.chi_mean).all()
 
 
 class TestCallStructure:

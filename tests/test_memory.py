@@ -92,3 +92,17 @@ def test_sweep_memory_does_not_grow_with_realizations(monkeypatch):
         return peak_bytes(q.run_sweep, config)
 
     assert sweep_peak(200) <= 1.1 * sweep_peak(20)
+
+
+def test_sweep_holds_one_instance_at_a_time():
+    """A one-cell sweep puts all 512 realizations in one chunk; each is reduced
+    to what its engine reads as it is drawn, so the chunk does not hold 512
+    dense coupling tensors of (N + 1)^2 x 9 floats (95 MiB at N = 50)."""
+    n_env, realizations = 50, 512
+    config = q.ExperimentConfig(
+        model="CPDI", n_env=n_env, time_grid=(1.0,), fragment_sizes=(25,),
+        realizations=realizations,
+    )
+    assert experiments._CHUNK_BYTES // 16 >= realizations  # one chunk
+    instance_bytes = 8 * 9 * (n_env + 1) ** 2
+    assert peak_bytes(q.run_sweep, config) < 0.1 * realizations * instance_bytes

@@ -133,17 +133,36 @@ class TestBuildModel:
             q.build_model("DPDI", 4, support=(1.0, 1.0))
         with pytest.raises(ValueError):
             q.build_model("CPDI_S", 4, scramble_half_width=-0.1)
-        # a string, a bool or NaN is not a real number
-        for key, value in (
-            ("scramble_half_width", float("nan")), ("half_width", True), ("half_width", "1"),
-            ("support", "15"), ("support", (1.0, float("nan"))),
+        # a string, a bool or NaN is not a real number; each key goes to a
+        # model that reads it, so its value check is what refuses it
+        for kind, key, value in (
+            ("CPDI_S", "scramble_half_width", float("nan")), ("CPDI_S", "half_width", True),
+            ("CPDI_S", "half_width", "1"), ("DPDI", "support", "15"),
+            ("DPDI", "support", (1.0, float("nan"))),
         ):
-            with pytest.raises(ValueError, match=key):
-                q.build_model("CPDI_S", 4, **{key: value})
+            with pytest.raises(ValueError, match=key) as refused:
+                q.build_model(kind, 4, **{key: value})
+            assert "unknown key" not in str(refused.value)
         for n_env in (3.5, True, "3"):
             with pytest.raises(ValueError, match="n_env: expected an integer"):
                 q.build_model("CPDI", n_env)
         assert q.build_model("CPDI", 3.0).n_env == 3
+
+    def test_overrides_the_model_does_not_read_are_refused(self):
+        for kind, key, value in (
+            ("CPDI", "support", (1.0, 2.0)), ("DPDI", "half_width", 5.0),
+            ("CODI", "scramble_half_width", 0.5), ("CPDI_S", "support", (1.0, 2.0)),
+            ("CPDI", "sigma", 1.0),
+        ):
+            with pytest.raises(ValueError, match=rf"unknown key '{key}' in the overrides of {kind}"):
+                q.build_model(kind, 4, **{key: value})
+        # every parameter a model reads is taken
+        for kind, overrides in (
+            ("CPDI", {"half_width": 2.0}), ("DPDI", {"support": (1.0, 2.0)}),
+            ("CODI", {"half_width": 2.0}),
+            ("CPDI_S", {"half_width": 2.0, "scramble_half_width": 0.1}),
+        ):
+            assert q.build_model(kind, 4, **overrides) != q.build_model(kind, 4)
 
     def test_scramble_zero_disables_intra(self):
         spec = q.build_model("CPDI_S", 4, scramble_half_width=0.0)
@@ -286,6 +305,19 @@ class TestSourcesAndSpec:
         }
         doc2 = q.build_model("CPDI", 1).to_json_dict()
         assert doc2["sys_env"][0]["source"] == {"type": "uniform", "a": 1.0}
+
+
+class TestModelInstance:
+    def test_n_env_is_a_checked_integer(self):
+        inst = q.ModelInstance(n_env=1.0, j_tensor=np.zeros((2, 2, 3, 3)), fields=np.zeros((2, 3)))
+        assert type(inst.n_env) is int and inst.n_qubits == 2
+        q.DensePropagator(inst)
+        with pytest.raises(ValueError, match="n_env: expected an integer"):
+            q.ModelInstance(True, np.zeros((2, 2, 3, 3)), np.zeros((2, 3)))
+        for n_env in (0, -1):
+            with pytest.raises(ValueError, match="n_env must be >= 1"):
+                q.ModelInstance(n_env, np.zeros((n_env + 1,) * 2 + (3, 3)),
+                                np.zeros((n_env + 1, 3)))
 
 
 class TestSampleInstance:
