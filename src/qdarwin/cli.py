@@ -20,7 +20,7 @@ from . import __version__
 from .analytics import averaged_gamma_curve
 from .experiments import ExperimentConfig, SweepResult, reproduce_fig2, reproduce_fig3, run_sweep
 from .information import NumericalError
-from .model import ModelSpec, _law, build_model, classify, sample_instance
+from .model import ModelSpec, _law, _positive_integer, build_model, classify, sample_instance
 
 CSV_HEADER = (
     "model,realizations,time,fragment_size,I_mean,I_stderr,"
@@ -201,13 +201,21 @@ def render_heatmap_svg(result: SweepResult, quantity: str, path) -> None:
 
 # -- argument parsing --------------------------------------------------------
 
+def _number_list(text: str, key: str) -> tuple:
+    """The numbers of a comma-separated list; ValueError naming ``key`` for a bad entry."""
+    try:
+        return tuple(float(entry) for entry in text.split(","))
+    except ValueError:
+        raise ValueError(f"{key}: expected comma-separated numbers, got {text!r}") from None
+
+
 def _parse_dist(spec: str):
     """Mini-grammar: uniform:<a> | discrete:v1,v2,... | const:<v>."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"malformed distribution spec {spec!r}")
     if kind == "discrete":
-        return _law(kind, [float(v) for v in rest.split(",") if v.strip() != ""])
+        return _law(kind, _number_list(rest, "support"))
     return _law(kind, float(rest))
 
 
@@ -219,23 +227,13 @@ def _cmd_classify(args) -> None:
     spec = ModelSpec.from_json_dict(_load_json(args.config))
     instance = sample_instance(spec, args.seed)
     verdict = classify(instance, spec.continuous_support(), tol=args.tol)
-    print(
-        json.dumps(
-            {
-                "pointer_basis": verdict.pointer_basis,
-                "continuous_support": verdict.continuous_support,
-                "no_scrambling": verdict.no_scrambling,
-                "darwinism_supported": verdict.darwinism_supported,
-            },
-            separators=(",", ":"),
-        )
-    )
+    fields = ("pointer_basis", "continuous_support", "no_scrambling", "darwinism_supported")
+    print(json.dumps({name: getattr(verdict, name) for name in fields}, separators=(",", ":")))
 
 
 def _write_outputs(result: SweepResult, args) -> None:
     write_csv(result, args.out)
-    sidecar = args.sidecar if args.sidecar else str(args.out) + ".meta.json"
-    write_sidecar(result, sidecar)
+    write_sidecar(result, args.sidecar or str(args.out) + ".meta.json")
     if args.svg:
         render_heatmap_svg(result, args.svg_quantity, args.svg)
 
@@ -268,13 +266,13 @@ def _cmd_fig2(args) -> None:
 
 
 def _cmd_fig3(args) -> None:
+    # each model-parameter flag, by argparse dest, and the override key it sets
+    keys = {"half_width": "half_width", "support": "support", "scramble": "scramble_half_width"}
     overrides = {}
-    if args.half_width is not None:
-        overrides["half_width"] = args.half_width
-    if args.support is not None:
-        overrides["support"] = tuple(float(v) for v in args.support.split(","))
-    if args.scramble is not None:
-        overrides["scramble_half_width"] = args.scramble
+    for dest, key in keys.items():
+        value = getattr(args, dest)
+        if value is not None:
+            overrides[key] = _number_list(value, key) if key == "support" else value
     _check_svg_quantity(args, build_model(args.model, args.n_env, **overrides))
     result = reproduce_fig3(
         args.model,
@@ -288,11 +286,10 @@ def _cmd_fig3(args) -> None:
 
 def _cmd_gamma(args) -> None:
     dist = _parse_dist(args.dist)
-    if args.steps < 1:
-        raise ValueError(f"steps must be >= 1, got {args.steps}")
+    steps = _positive_integer(args.steps, "steps")
     if not 0 <= args.tmax < math.inf:
         raise ValueError(f"tmax must be finite and >= 0, got {args.tmax}")
-    times = np.linspace(0.0, args.tmax, args.steps)
+    times = np.linspace(0.0, args.tmax, steps)
     curve = averaged_gamma_curve(dist, args.alpha2, times)
     lines = ["time,avg_gamma_sq"]
     for t, v in zip(curve.times, curve.values):
@@ -311,6 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
         "from a qubit to a qubit environment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", required=True, help="CSV output path")
+    outputs.add_argument("--sidecar", help="JSON sidecar path (default: <out>.meta.json)")
+    outputs.add_argument("--svg", help="optional SVG heatmap path")
+    outputs.add_argument("--svg-quantity", default="ratio", choices=("ratio", "I", "chi"))
 
     p = sub.add_parser("classify", help="classify a model spec JSON file")
     p.add_argument("--config", required=True, help="path to a model spec JSON document")
@@ -318,12 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("sweep", help="run a Monte Carlo sweep from a config JSON file")
+    p = sub.add_parser("sweep", parents=[outputs],
+                       help="run a Monte Carlo sweep from a config JSON file")
     p.add_argument("--config", required=True, help="path to an experiment config JSON document")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--sidecar", help="JSON sidecar path (default: <out>.meta.json)")
-    p.add_argument("--svg", help="optional SVG heatmap path")
-    p.add_argument("--svg-quantity", default="ratio", choices=("ratio", "I", "chi"))
     p.add_argument("--seed", type=int, default=None, help="override the config's master seed")
     p.set_defaults(func=_cmd_sweep)
 
@@ -333,12 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha2", type=float, default=0.5, help="system weight |alpha_0|^2")
     p.set_defaults(func=_cmd_fig2)
 
-    p = sub.add_parser("fig3", help="run one of the reference-model heatmap sweeps")
+    p = sub.add_parser("fig3", parents=[outputs],
+                       help="run one of the reference-model heatmap sweeps")
     p.add_argument("--model", required=True, help="CPDI | DPDI | CODI | CPDI-S")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--sidecar", help="JSON sidecar path (default: <out>.meta.json)")
-    p.add_argument("--svg", help="optional SVG heatmap path")
-    p.add_argument("--svg-quantity", default="ratio", choices=("ratio", "I", "chi"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--realizations", type=int, default=100)
     p.add_argument("--n-env", type=int, default=8)

@@ -17,8 +17,9 @@ over the size axis so that it is folded per cell like the rest. Each
 finished chunk is folded into running sums and dropped, so a sweep's memory
 does not grow with its realization count. Every per-realization value, mean
 and standard error is bit-identical whatever the chunk size, and a
-realization does not depend on how many follow it, so a sweep is
-deterministic in its config alone.
+realization does not depend on how many follow it. A sweep repeats byte for
+byte under a fixed BLAS thread count; the README says from which cut sizes
+the bytes also depend on that count.
 
 A realization's fragments are one boolean table ``masks[F, S, N]``: F
 fragment sizes, S subsets per size (1 for the prefix policy,
@@ -297,7 +298,7 @@ class _RunningStats:
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run the configured sweep; deterministic in the config alone.
+    """Run the configured sweep; repeatable byte for byte under a fixed BLAS thread count.
 
     Each chunk of realizations is folded into running statistics and then
     dropped, so memory does not grow with the realization count unless the

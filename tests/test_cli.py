@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -27,6 +28,16 @@ def write_sweep_config(tmp_path, **kwargs):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(defaults))
     return str(path)
+
+
+def command_options():
+    """Each subcommand's option actions by flag, all from one parser."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {flag: action for action in sub._actions for flag in action.option_strings}
+        for name, sub in commands.choices.items()
+    }
 
 
 class TestClassifyCommand:
@@ -168,6 +179,11 @@ class TestGammaCommand:
             argv = ["gamma", "--dist", dist, "--alpha2", alpha2, "--tmax", tmax, "--steps", "2"]
             assert main(argv) == 2
             assert key in capsys.readouterr().err
+
+    def test_steps_below_one_is_usage_error(self, capsys):
+        argv = ["gamma", "--dist", "uniform:1", "--alpha2", "0.5", "--tmax", "1", "--steps", "0"]
+        assert main(argv) == 2
+        assert "steps must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -342,6 +358,35 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+
+class TestSharedSurface:
+    def test_fig3_and_sweep_share_their_output_flags(self):
+        options = command_options()
+        flags = ("--out", "--sidecar", "--svg", "--svg-quantity")
+        for flag in flags:
+            # declared once: both commands hold the same argparse action
+            assert options["fig3"][flag] is options["sweep"][flag]
+        out, sidecar, svg, quantity = (options["sweep"][flag] for flag in flags)
+        assert out.required and not sidecar.required and not svg.required
+        assert sidecar.default is None and svg.default is None
+        assert quantity.default == "ratio" and tuple(quantity.choices) == ("ratio", "I", "chi")
+
+    def test_support_and_discrete_dist_read_one_strict_list(self, tmp_path, capsys):
+        out = tmp_path / "dpdi.csv"
+        fig3 = ["fig3", "--model", "DPDI", "--n-env", "2", "--realizations", "2", "--out", str(out)]
+        gamma = ["gamma", "--alpha2", "0.5", "--tmax", "1", "--steps", "2"]
+        for entries in ("1,,2", "1,2,", ""):
+            assert main([*fig3, "--support", entries]) == 2
+            assert "support" in capsys.readouterr().err
+            assert main([*gamma, "--dist", "discrete:" + entries]) == 2
+            assert "support" in capsys.readouterr().err
+        assert not out.exists()
+        # blanks around an entry are allowed; the sidecar defaults to <out>.meta.json
+        assert main([*fig3, "--support", " 0.5, 1"]) == 0
+        sidecar = json.loads((tmp_path / "dpdi.csv.meta.json").read_text())
+        assert sidecar["config"]["overrides"]["support"] == [0.5, 1.0]
+        assert main([*gamma, "--dist", "discrete: 0.5, 1"]) == 0
 
 
 class TestRuntimeErrors:

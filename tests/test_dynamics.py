@@ -455,19 +455,27 @@ class TestFlipDiagonals:
 
 
 class TestDiagonalEngine:
-    def test_matches_dense_on_cpdis(self):
-        spec = q.build_model("CPDI_S", 6)
-        rng = np.random.default_rng(11)
-        inst = q.sample_instance(spec, rng)
-        init = q.random_product_state(7, rng)
-        psi0 = q.dense_product_state(init)
-        dense = q.DensePropagator(inst)
-        diag = q.DiagonalPropagator(inst)
-        for t in (0.3, 1.0, 3.0):
-            pd = dense.evolve(psi0, t)
-            pg = diag.evolve(psi0, t)
-            aligned = q.align_global_phase(pg, pd)
-            assert np.max(np.abs(aligned.amplitudes - pd.amplitudes)) < 1e-9
+    @given(
+        n_env=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        t=st.sampled_from((0.0, 0.7, 3.3, 50.0, 1000.0)),
+    )
+    def test_matches_dense_on_cpdis(self, n_env, seed, t):
+        # z-only instances as in CPDI-S: zz couplings on random pairs, the
+        # system included, and z fields on every qubit; on 1 x 1 blocks the
+        # dense engine computes the diagonal engine's phases bit for bit
+        rng = np.random.default_rng(seed)
+        n = n_env + 1
+        jt = np.zeros((n, n, 3, 3))
+        pairs = np.triu(rng.random((n, n)) < 0.5, 1)
+        jt[..., 2, 2][pairs] = rng.uniform(-1.0, 1.0, np.count_nonzero(pairs))
+        fields = np.zeros((n, 3))
+        fields[:, 2] = rng.uniform(-1.0, 1.0, n)
+        inst = q.ModelInstance(n_env=n_env, j_tensor=jt, fields=fields)
+        psi0 = q.dense_product_state(q.random_product_state(n, rng))
+        dense = q.DensePropagator(inst).evolve(psi0, t)
+        diag = q.DiagonalPropagator(inst).evolve(psi0, t)
+        assert np.array_equal(dense.amplitudes, diag.amplitudes)
 
     def test_rejects_non_diagonal(self):
         inst = q.sample_instance(q.build_model("CODI", 3), 0)
