@@ -13,6 +13,7 @@ from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .analytics import binary_entropy
 from .dynamics import BranchingState, PureState, _site_overlaps
@@ -103,6 +104,15 @@ def _cut(n: int, keep: tuple) -> _CutPlan:
     )
 
 
+def _spectrum(gram: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a complex Hermitian matrix, or of each in a
+    stack, from its lower triangle: the LAPACK routine behind
+    ``np.linalg.eigvalsh``, so the spectrum is bit-identical, without that
+    wrapper's per-call checks and error state. A spectrum that does not
+    converge comes back as NaN, not as ``LinAlgError``."""
+    return _umath_linalg.eigvalsh_lo(gram, signature="D->d")
+
+
 def _partition_matrix(psi: PureState, keep: tuple) -> np.ndarray:
     """Reshape the amplitudes into the cut matrix A of ``_cut``: rows on the
     smaller side of the (keep | rest) cut, columns on the larger. A view
@@ -117,7 +127,7 @@ def _blocked_gram(psi: PureState, keep: tuple) -> np.ndarray:
     need be) only after slicing, and its product is added in row panels of at
     most ``_GRAM_BLOCK_BYTES``, so no temporary is larger than one block. A
     panel multiplies only against the columns up to its last row: above the
-    diagonal panels the Gram stays zero, since ``eigvalsh`` and the 2 x 2
+    diagonal panels the Gram stays zero, since ``_spectrum`` and the 2 x 2
     spectrum of ``subsystem_entropy`` read only the lower triangle."""
     plan = _cut(psi.n_qubits, keep)
     tensor = psi.amplitudes.reshape(plan.split).transpose(plan.perm)
@@ -146,15 +156,15 @@ def reduced_density(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
 def _entropy_from_eigenvalues(eigs: Sequence[float], top: float = 1.0) -> float:
     """Entropy (bits) of a spectrum of floats in ascending order, as
     ``eigvalsh`` returns it. Raises NumericalError when it leaves [0, top]
-    beyond ``_EIG_TOL``, where ``top`` is the trace of the matrix it came
-    from (||psi||^2 for a cut of a pure state); eigenvalues inside the
-    tolerance are clamped to [0, 1]."""
-    if eigs[0] < -_EIG_TOL or eigs[-1] > top + _EIG_TOL:
+    beyond ``_EIG_TOL`` or holds NaN at either end, where ``top`` is the
+    trace of the matrix it came from (||psi||^2 for a cut of a pure state);
+    eigenvalues inside the tolerance are clamped to [0, 1]."""
+    if not (eigs[0] >= -_EIG_TOL and eigs[-1] <= top + _EIG_TOL):  # NaN fails too
         raise NumericalError(f"eigenvalues out of [0, 1] beyond tolerance: {list(eigs)}")
     entropy = 0.0
     for lam in eigs:
         if lam > 0.0:
-            lam = min(lam, 1.0)
+            lam = lam if lam < 1.0 else 1.0
             entropy -= lam * math.log2(lam)
     return entropy
 
@@ -178,7 +188,10 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
     - d = 2 (one qubit on the smaller side): the 2 x 2 Gram, whose spectrum
       mid -+ hypot((a - c) / 2, |b|), mid = (a + c) / 2, is taken in floats
       from its diagonal a, c and lower off-diagonal entry b.
-    - d >= 4: ``eigvalsh`` of the Gram.
+    - d >= 4: the spectrum of the Gram straight from LAPACK (``_spectrum``,
+      the routine ``eigvalsh`` calls, without its per-call checks); a
+      spectrum that does not converge comes back as NaN and raises
+      NumericalError.
 
     The spectrum must lie in [0, ||psi||^2] (``PureState.norm_sq``) within
     ``_EIG_TOL``, so a state at the edge of its own norm check passes.
@@ -200,7 +213,7 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
         m = _partition_matrix(psi, keep)
         gram = m @ m.conj().T
     if d > 2:
-        return _entropy_from_eigenvalues(np.linalg.eigvalsh(gram).tolist(), psi.norm_sq)
+        return _entropy_from_eigenvalues(_spectrum(gram).tolist(), psi.norm_sq)
     (a, _), (b, c) = gram.tolist()
     mid = 0.5 * (a.real + c.real)
     half_gap = math.hypot(0.5 * (a.real - c.real), abs(b))

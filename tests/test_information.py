@@ -181,12 +181,13 @@ def smaller_side(n, keep):
 
 @pytest.fixture
 def refuse_eigvalsh(monkeypatch):
-    """Call to make every later ``np.linalg.eigvalsh`` call fail."""
+    """Call to make every later spectrum of ``subsystem_entropy`` (its
+    ``_spectrum``, the LAPACK routine of ``np.linalg.eigvalsh``) fail."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh called")
 
-    return lambda: monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    return lambda: monkeypatch.setattr(information, "_spectrum", refuse)
 
 
 class TestSmallCuts:
@@ -268,6 +269,73 @@ class TestSmallCuts:
         for keep in ((0,), (0, 1)):  # d = 2, then d = 4
             with pytest.raises(NumericalError, match="beyond tolerance"):
                 q.subsystem_entropy(psi, keep)
+
+
+def random_hermitian(d, seed, stack=()):
+    rng = np.random.default_rng(seed)
+    shape = (*stack, d, d)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return a + np.swapaxes(a, -1, -2).conj()
+
+
+class TestSpectrum:
+    """``_spectrum`` is ``eigvalsh``'s LAPACK routine, so every d >= 4 cut
+    keeps the bits it had through ``np.linalg.eigvalsh``."""
+
+    @pytest.mark.parametrize("d", [4, 16, 256])
+    def test_is_eigvalsh_bit_for_bit(self, d):
+        gram = random_hermitian(d, d)
+        assert np.array_equal(information._spectrum(gram), np.linalg.eigvalsh(gram))
+
+    def test_broadcasts_over_a_stack(self):
+        grams = random_hermitian(8, 1, stack=(5,))
+        spectra = information._spectrum(grams)
+        assert spectra.shape == (5, 8)
+        assert np.array_equal(spectra, np.linalg.eigvalsh(grams))
+
+    @staticmethod
+    def cuts(n):
+        """Every cut of up to 9 qubits; at 17 qubits, which take the blocked
+        Gram, the joint and fragment prefix cuts and a scattered one."""
+        if n <= 9:
+            return [tuple(k for k in range(n) if bits >> k & 1) for bits in range(1 << n)]
+        prefixes = [tuple(range(start, size)) for size in range(n + 1) for start in (0, 1)]
+        return prefixes + [(2, 5, 11, 16)]
+
+    @pytest.mark.parametrize("n, seed", [(5, 50), (9, 90), (17, 17)])
+    def test_entropies_are_the_eigvalsh_route_bit_for_bit(self, n, seed):
+        psi = random_state(n, seed)
+        for keep in self.cuts(n):
+            d = _cut(n, keep).shape[0]
+            if d < 4:
+                continue
+            if psi.amplitudes.nbytes > information._GRAM_BLOCK_BYTES:
+                gram = information._blocked_gram(psi, keep)
+            else:
+                m = information._partition_matrix(psi, keep)
+                gram = m @ m.conj().T
+            expected = information._entropy_from_eigenvalues(
+                np.linalg.eigvalsh(gram).tolist(), psi.norm_sq
+            )
+            assert q.subsystem_entropy(psi, keep) == expected, keep
+
+    @pytest.mark.parametrize("n, keep", [(5, (0, 1)), (5, (1, 2, 3)), (17, (0, 1, 2, 3))])
+    def test_nan_spectrum_raises(self, monkeypatch, n, keep):
+        # LAPACK's gufunc returns NaN where eigvalsh raised LinAlgError; the
+        # range check must not let a NaN spectrum sum to entropy 0
+        psi = random_state(n, n)
+        assert _cut(n, keep).shape[0] >= 4
+        assert (n == 17) == (psi.amplitudes.nbytes > information._GRAM_BLOCK_BYTES)
+        monkeypatch.setattr(
+            information, "_spectrum", lambda gram: np.full(gram.shape[-1], np.nan)
+        )
+        with pytest.raises(NumericalError, match="beyond tolerance"):
+            q.subsystem_entropy(psi, keep)
+
+    @pytest.mark.parametrize("eigs", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
+    def test_nan_at_either_end_is_out_of_range(self, eigs):
+        with pytest.raises(NumericalError):
+            information._entropy_from_eigenvalues(eigs)
 
 
 class TestEntropy:
