@@ -244,8 +244,7 @@ class DensePropagator:
     blocks for a z-only H, one block (H itself, up to 13 qubits) when every
     qubit is flipped. The state's blocks are one transpose of its amplitude
     tensor, the layout of ``model._block_axes`` that ``hamiltonian_matrix``
-    builds H's blocks in; for CODI's flipped system qubit it is a plain
-    reshape, and ``evolve`` skips the transpose both ways.
+    builds H's blocks in; for CODI's flipped system qubit it is a view.
     Exact for the time-independent Hamiltonians built here;
     unitarity holds to the accuracy of the factorization.
     """
@@ -254,9 +253,6 @@ class DensePropagator:
         self.n_qubits = instance.n_qubits
         self._axes = _block_axes(self.n_qubits, instance.flip_mask())
         self._axes_back = tuple(np.argsort(self._axes).tolist())
-        # in the identity order (the flipped qubits are the lowest bits, as
-        # in CODI) the state's blocks are its plain (K, s) reshape
-        self._transposed = self._axes != tuple(range(self.n_qubits))
         h = hamiltonian_matrix(instance, blocked=True)
         self._energies, self._modes = np.linalg.eigh(h)
         del h  # release the blocks of H before the conjugate modes are made
@@ -267,14 +263,10 @@ class DensePropagator:
         if state.n_qubits != self.n_qubits:
             raise ValueError("state size does not match the propagator")
         tensor = (2,) * self.n_qubits
-        blocks = state.amplitudes
-        if self._transposed:
-            blocks = blocks.reshape(tensor).transpose(self._axes)
+        blocks = state.amplitudes.reshape(tensor).transpose(self._axes)
         coeffs = _apply_blocks(self._modes_h, blocks.reshape(self._energies.shape))
         coeffs *= np.exp(-1j * self._energies * _real(t, "t"))
-        out = _apply_blocks(self._modes, coeffs)
-        if self._transposed:
-            out = out.reshape(tensor).transpose(self._axes_back)
+        out = _apply_blocks(self._modes, coeffs).reshape(tensor).transpose(self._axes_back)
         return PureState(self.n_qubits, out.ravel())
 
 

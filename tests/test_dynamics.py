@@ -393,15 +393,6 @@ class TestBlockMask:
         prop = q.DensePropagator(q.sample_instance(q.build_model("CODI", 8), 0))
         assert prop._modes.shape == (256, 2, 2)
         assert prop._axes == tuple(range(9))  # the blocks are a view of the state
-        assert not prop._transposed
-
-    def test_identity_order_skips_the_transpose_bit_for_bit(self):
-        prop = q.DensePropagator(q.sample_instance(q.build_model("CODI", 8), 0))
-        psi0 = q.dense_product_state(q.random_product_state(9, 1))
-        plain = [prop.evolve(psi0, t).amplitudes for t in (0.0, 0.7, 50.0)]
-        prop._transposed = True  # the general route, through the identity transpose
-        for t, amps in zip((0.0, 0.7, 50.0), plain):
-            assert np.array_equal(prop.evolve(psi0, t).amplitudes, amps)
 
 
 @st.composite

@@ -181,13 +181,18 @@ def smaller_side(n, keep):
 
 @pytest.fixture
 def refuse_eigvalsh(monkeypatch):
-    """Call to make every later spectrum of ``subsystem_entropy`` (its
-    ``_spectrum``, the LAPACK routine of ``np.linalg.eigvalsh``) fail."""
+    """Call to make every later Hermitian spectrum fail: the one
+    ``subsystem_entropy`` takes (``_spectrum``, the LAPACK routine of
+    ``np.linalg.eigvalsh``) and ``np.linalg.eigvalsh`` itself."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("eigvalsh called")
 
-    return lambda: monkeypatch.setattr(information, "_spectrum", refuse)
+    def arm():
+        monkeypatch.setattr(information, "_spectrum", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+    return arm
 
 
 class TestSmallCuts:
@@ -281,6 +286,12 @@ def random_hermitian(d, seed, stack=()):
 class TestSpectrum:
     """``_spectrum`` is ``eigvalsh``'s LAPACK routine, so every d >= 4 cut
     keeps the bits it had through ``np.linalg.eigvalsh``."""
+
+    def test_numpy_still_ships_the_private_gufunc(self):
+        # ``_spectrum`` wraps ``numpy.linalg._umath_linalg.eigvalsh_lo``, a
+        # private name: a numpy that renames it fails here by name
+        m = information._partition_matrix(random_state(4, 4), (0, 1))
+        assert information._spectrum(m @ m.conj().T).shape == (4,)
 
     @pytest.mark.parametrize("d", [4, 16, 256])
     def test_is_eigvalsh_bit_for_bit(self, d):
