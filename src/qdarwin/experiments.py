@@ -11,15 +11,18 @@ otherwise. Realizations are drawn in index order and evaluated in chunks: the
 state engines take each realization's states and entropies in turn, and the
 branching closed form runs once per chunk over the chunk's stacked
 realizations; each draw is reduced to what its engine reads as it is made,
-so a chunk holds one model instance at a time. Either way a chunk yields one
-layout, a (realization, time, size) table per quantity, with S_S repeated
-over the size axis so that it is folded per cell like the rest. Each
-finished chunk is folded into running sums and dropped, so a sweep's memory
-does not grow with its realization count. Every per-realization value, mean
-and standard error is bit-identical whatever the chunk size, and a
-realization does not depend on how many follow it. A sweep repeats byte for
-byte under a fixed BLAS thread count; the README says from which cut sizes
-the bytes also depend on that count.
+so a chunk holds one model instance at a time. A state engine steps each
+state from the previous grid time's, so a realization holds one state vector
+while its entropies are taken; a cell can therefore differ by rounding
+(<= 1e-12) between two time grids that reach its time by different steps.
+Either way a chunk yields one layout, a (realization, time, size) table per
+quantity, with S_S repeated over the size axis so that it is folded per cell
+like the rest. Each finished chunk is folded into running sums and dropped,
+so a sweep's memory does not grow with its realization count. Every
+per-realization value, mean and standard error is bit-identical whatever the
+chunk size, and a realization does not depend on how many follow it. A sweep
+repeats byte for byte under a fixed BLAS thread count; the README says from
+which cut sizes the bytes also depend on that count.
 
 A realization's fragments are one boolean table ``masks[F, S, N]``: F
 fragment sizes, S subsets per size (1 for the prefix policy,
@@ -222,15 +225,24 @@ def _realization(spec: ModelSpec, config: ExperimentConfig, r: int):
 
 def _state_tables(propagator, init, times, masks):
     """I of shape (T, F) and S_S of shape (T,) from explicit states and
-    partial-trace entropies."""
-    psi0 = dense_product_state(init)
+    partial-trace entropies.
+
+    Each state is stepped from the previous grid time's state by the time
+    between them, starting from the initial product state at t = 0, so the
+    realization holds one evolved state while its entropies are taken (two
+    only inside ``evolve``). Under a time-independent H this is exact in
+    exact arithmetic; in float64 it differs from evolving each time from
+    t = 0 by rounding (at most ~3e-14 in I and S_S on the fig3 grids).
+    """
     # (fragment, system + fragment) kept-qubit tuples, built once per realization
     frags = [[tuple((np.flatnonzero(row) + 1).tolist()) for row in rows] for rows in masks]
     cuts = [[(frag, (0, *frag)) for frag in subsets] for subsets in frags]
     i_vals = np.empty((times.shape[0], len(cuts)))
     s_sys = np.empty(times.shape[0])
+    psi, t_prev = dense_product_state(init), 0.0
     for ti, t in enumerate(times):
-        psi = propagator.evolve(psi0, t)
+        psi = propagator.evolve(psi, t - t_prev)  # rebinding releases the previous state
+        t_prev = t
         s_s = subsystem_entropy(psi, (0,))
         s_sys[ti] = s_s
         for fi, subsets in enumerate(cuts):
@@ -240,7 +252,6 @@ def _state_tables(propagator, init, times, masks):
                 s_sf = subsystem_entropy(psi, joint)
                 acc += s_s + s_f - s_sf
             i_vals[ti, fi] = acc / len(subsets)
-        del psi  # release this state before the next evolve allocates one
     return i_vals, s_sys
 
 

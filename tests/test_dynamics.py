@@ -538,6 +538,24 @@ class TestEngineProperties:
             purity = np.trace(rho @ rho).real
             assert purity >= 1.0 - 1e-10
 
+    @pytest.mark.parametrize("case", ["CODI", "generic", "CPDI_S"])
+    def test_many_steps_match_one_evolve(self, case):
+        """A sweep steps each state from the previous time: 1000 steps of 0.05
+        stay within float64 rounding of one evolve to t = 50, and unitary."""
+        rng = np.random.default_rng(8)
+        if case == "generic":
+            prop = q.DensePropagator(random_generic_instance(rng, 4))  # one 32 x 32 block
+        else:
+            inst = q.sample_instance(q.build_model(case, 8), rng)
+            prop = (q.DiagonalPropagator if case == "CPDI_S" else q.DensePropagator)(inst)
+        psi0 = q.dense_product_state(q.random_product_state(prop.n_qubits, rng))
+        psi = psi0
+        for _ in range(1000):
+            psi = prop.evolve(psi, 0.05)
+        direct = prop.evolve(psi0, 50.0)
+        assert np.max(np.abs(psi.amplitudes - direct.amplitudes)) <= 1e-11
+        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
+
 
 class TestStateTypes:
     def test_pure_state_norm_enforced(self):
