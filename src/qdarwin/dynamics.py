@@ -245,6 +245,10 @@ class DensePropagator:
     qubit is flipped. The state's blocks are one transpose of its amplitude
     tensor, the layout of ``model._block_axes`` that ``hamiltonian_matrix``
     builds H's blocks in; for CODI's flipped system qubit it is a view.
+    The propagator holds the energies and the modes M and nothing else: the
+    adjoint is applied as conj(M^T conj(v)), through a transposed view of M,
+    so no conjugate copy of the modes is ever made, and ``evolve`` holds at
+    most two state-sized temporaries at once.
     Exact for the time-independent Hamiltonians built here;
     unitarity holds to the accuracy of the factorization.
     """
@@ -253,21 +257,21 @@ class DensePropagator:
         self.n_qubits = instance.n_qubits
         self._axes = _block_axes(self.n_qubits, instance.flip_mask())
         self._axes_back = tuple(np.argsort(self._axes).tolist())
-        h = hamiltonian_matrix(instance, blocked=True)
-        self._energies, self._modes = np.linalg.eigh(h)
-        del h  # release the blocks of H before the conjugate modes are made
-        self._modes_h = np.empty_like(self._modes)
-        np.conjugate(self._modes.transpose(0, 2, 1), out=self._modes_h)
+        self._energies, self._modes = np.linalg.eigh(hamiltonian_matrix(instance, blocked=True))
 
     def evolve(self, state: PureState, t: float) -> PureState:
         if state.n_qubits != self.n_qubits:
             raise ValueError("state size does not match the propagator")
         tensor = (2,) * self.n_qubits
         blocks = state.amplitudes.reshape(tensor).transpose(self._axes)
-        coeffs = _apply_blocks(self._modes_h, blocks.reshape(self._energies.shape))
-        coeffs *= np.exp(-1j * self._energies * _real(t, "t"))
-        out = _apply_blocks(self._modes, coeffs).reshape(tensor).transpose(self._axes_back)
-        return PureState(self.n_qubits, out.ravel())
+        # M^H v as conj(M^T conj(v)), so no adjoint of the modes is held
+        coeffs = _apply_blocks(self._modes.transpose(0, 2, 1),
+                               blocks.reshape(self._energies.shape).conj())
+        np.conjugate(coeffs, out=coeffs)
+        coeffs *= _phases(self._energies, _real(t, "t"))
+        # rebound, so the coefficients are freed before ravel copies a permuted layout
+        coeffs = _apply_blocks(self._modes, coeffs).reshape(tensor).transpose(self._axes_back)
+        return PureState(self.n_qubits, coeffs.ravel())
 
 
 def _apply_blocks(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -280,6 +284,12 @@ def _apply_blocks(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     if matrices.shape[-1] <= 4:
         return np.einsum("kij,kj->ki", matrices, vectors)
     return (matrices @ vectors[:, :, None])[:, :, 0]
+
+
+def _phases(energies: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iEt) of each energy, in one fresh array; both engines' phases."""
+    phase = np.multiply(-1j * t, energies)
+    return np.exp(phase, out=phase)
 
 
 def evolve_dense(instance: ModelInstance, psi0: PureState, t: float) -> PureState:
@@ -307,10 +317,9 @@ class DiagonalPropagator:
     def evolve(self, state: PureState, t: float) -> PureState:
         if state.n_qubits != self.n_qubits:
             raise ValueError("state size does not match the propagator")
-        # one fresh array: the phases, then the evolved amplitudes in place
-        # (amps * phase in that operand order, which fixes the rounding)
-        phase = np.multiply(-1j * _real(t, "t"), self._energies)
-        np.exp(phase, out=phase)
+        # the evolved amplitudes overwrite the phases (amps * phase in that
+        # operand order, which fixes the rounding)
+        phase = _phases(self._energies, _real(t, "t"))
         np.multiply(state.amplitudes, phase, out=phase)
         return PureState(self.n_qubits, phase)
 

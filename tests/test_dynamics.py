@@ -52,6 +52,20 @@ def transverse_pair_instance(rng):
     return q.ModelInstance(n_env=n - 1, j_tensor=jt, fields=fields)
 
 
+def three_flipped_instance(rng):
+    """z fields and zz couplings on 7 qubits, plus x fields and xx/yy couplings
+    on sites 1, 3 and 6 only: 8x8 blocks over those bits."""
+    n, flipped = 7, (1, 3, 6)
+    jt = np.zeros((n, n, 3, 3))
+    jt[..., 2, 2] = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    fields = np.zeros((n, 3))
+    fields[:, 2] = rng.uniform(-1.0, 1.0, n)
+    fields[flipped, 0] = rng.uniform(0.1, 1.0, len(flipped))
+    for a, b in ((1, 3), (3, 6)):
+        jt[a, b, 0, 0], jt[a, b, 1, 1] = rng.uniform(-1.0, 1.0, 2)
+    return q.ModelInstance(n_env=n - 1, j_tensor=jt, fields=fields)
+
+
 def block_case(name, rng):
     if name == "CODI":
         inst = q.sample_instance(q.build_model("CODI", 6), rng)
@@ -248,6 +262,39 @@ class TestDenseEngine:
                 fields[k, rng.integers(2)] = rng.uniform(0.1, 1.0)
         instance = q.ModelInstance(n_env=n_qubits - 1, j_tensor=jt, fields=fields)
         assert_matches_oracle(instance, 1 << sum(flips), seed)
+
+    @pytest.mark.parametrize("case, block_size, tol", [
+        ("CODI", 2, 0.0), ("transverse-pair", 4, 0.0), ("three-flipped", 8, 1e-13),
+        ("generic", 1024, 1e-13),
+    ])
+    def test_evolve_matches_the_held_adjoint_formula(self, case, block_size, tol):
+        """Reference: M (c * exp(-iEt)) with c = M^H v from a held conjugate
+        copy of the modes, each block product by einsum. The engine applies
+        M^H as conj(M^T conj(v)); on its einsum blocks (s <= 4) it writes the
+        reference's bytes, on its matmul blocks (s >= 8) BLAS may round
+        differently, within a bound fixed before measuring."""
+        rng = np.random.default_rng(24)
+        instance = {
+            "CODI": lambda: q.sample_instance(q.build_model("CODI", 8), rng),
+            "transverse-pair": lambda: transverse_pair_instance(rng),
+            "three-flipped": lambda: three_flipped_instance(rng),
+            "generic": lambda: random_generic_instance(rng, 9),  # every qubit flipped
+        }[case]()
+        prop = q.DensePropagator(instance)
+        modes, energies = prop._modes, prop._energies
+        assert modes.shape[1:] == (block_size, block_size)
+        tensor = (2,) * prop.n_qubits
+        psi0 = q.dense_product_state(q.random_product_state(prop.n_qubits, rng))
+        v = psi0.amplitudes.reshape(tensor).transpose(prop._axes).reshape(energies.shape)
+        coeffs = np.einsum("kij,kj->ki", modes.conj().transpose(0, 2, 1), v)
+        for t in (0.0, 0.3, 1.0, 25.0):
+            blocks = np.einsum("kij,kj->ki", modes, coeffs * np.exp(-1j * energies * t))
+            expected = blocks.reshape(tensor).transpose(np.argsort(prop._axes)).ravel()
+            got = prop.evolve(psi0, t).amplitudes
+            if tol == 0.0:
+                assert np.array_equal(got, expected)
+            else:
+                assert np.max(np.abs(got - expected)) <= tol
 
     def test_composition(self):
         inst = q.sample_instance(q.build_model("CODI", 3), 1)
@@ -476,6 +523,14 @@ class TestDiagonalEngine:
         dense = q.DensePropagator(inst).evolve(psi0, t)
         diag = q.DiagonalPropagator(inst).evolve(psi0, t)
         assert np.array_equal(dense.amplitudes, diag.amplitudes)
+
+    def test_phases_multiply_the_amplitudes(self):
+        inst = q.sample_instance(q.build_model("CPDI_S", 6), 3)
+        prop = q.DiagonalPropagator(inst)
+        psi0 = q.dense_product_state(q.random_product_state(7, 3))
+        for t in (0.0, 0.7, 50.0):
+            expected = psi0.amplitudes * np.exp(np.multiply(-1j * t, prop._energies))
+            assert np.array_equal(prop.evolve(psi0, t).amplitudes, expected)
 
     def test_rejects_non_diagonal(self):
         inst = q.sample_instance(q.build_model("CODI", 3), 0)

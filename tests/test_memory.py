@@ -31,6 +31,12 @@ def diagonal():
     return q.DiagonalPropagator(q.ModelInstance(n_env=N_QUBITS - 1, j_tensor=jt, fields=fields))
 
 
+@pytest.fixture(scope="module")
+def codi():
+    """An 18-qubit CODI instance: 2^17 blocks of 2 x 2."""
+    return q.sample_instance(q.build_model("CODI", N_QUBITS - 1), 18)
+
+
 def peak_bytes(func, *args):
     """Peak traced allocation of one call, after an untraced call has filled
     the caches (the cut plan)."""
@@ -64,6 +70,32 @@ def test_entropy_allocates_gram_and_bounded_blocks(psi, keep):
 def test_diagonal_evolve_allocates_one_state(psi, diagonal):
     energies_bytes = 8 << N_QUBITS
     assert peak_bytes(diagonal.evolve, psi, 1.3) <= STATE_BYTES + energies_bytes
+
+
+def test_dense_propagator_holds_only_its_factorization(codi):
+    """The build keeps the modes and the energies (2.5 states for CODI's 2 x 2
+    blocks) and no conjugate copy of the modes beside them."""
+    tracemalloc.start()
+    try:
+        prop = q.DensePropagator(codi)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= prop._modes.nbytes + prop._energies.nbytes + SLACK
+
+
+@pytest.mark.parametrize("flipped", [0, 5])
+def test_dense_evolve_allocates_two_states(psi, codi, flipped):
+    """The coefficients in the eigenbasis, then the evolved state: at most two
+    state-sized temporaries at once, plus einsum's iterator buffers, both when
+    the blocks are a view of the state (CODI's flipped system qubit) and when
+    they are a permuted copy (the transverse field moved to qubit 5)."""
+    fields = codi.fields.copy()
+    fields[0, 1], fields[flipped, 1] = 0.0, codi.fields[0, 1]  # CODI's y field
+    instance = q.ModelInstance(n_env=codi.n_env, j_tensor=codi.j_tensor, fields=fields)
+    assert instance.flip_mask() == 1 << flipped
+    evolve = q.DensePropagator(instance).evolve
+    assert peak_bytes(evolve, psi, 1.3) <= 2 * STATE_BYTES + (256 << 10)
 
 
 def test_evolve_leaves_its_input_alone(psi, diagonal):
