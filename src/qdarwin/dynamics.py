@@ -194,28 +194,48 @@ def evolve_branching(init: ProductCoeffs, fields, t: float) -> BranchingState:
     )
 
 
-def _kron_sites(vectors: np.ndarray) -> np.ndarray:
-    """Kronecker product of per-site kets with site 1 on the least significant bit."""
-    out = np.ones(1, dtype=complex)
+_PRODUCT_CHUNK_ROWS = 4096  # rows of _product_into's one temporary: 64 KiB
+
+
+def _product_into(out: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Write the product of per-site kets into ``out`` (2^n entries, may be a
+    strided view), row 0 of ``vectors`` on the least significant bit.
+
+    Site doubling from the most significant site: the 2^m partial products
+    in out[:2^m] become out[:2^(m+1)], entry 2i + b = partial[i] * v[b]. That
+    is the multiply ``np.kron`` makes, with the same broadcast operands, so
+    the bytes are ``np.kron``'s. Rows go from the top down, each chunk read
+    through one bounded copy before its entries are overwritten.
+    """
+    out[0] = 1.0
+    chunk = np.empty((min(_PRODUCT_CHUNK_ROWS, out.shape[0] >> 1), 1), dtype=complex)
+    size = 1
     for v in vectors[::-1]:
-        out = np.kron(out, v)
+        for hi in range(size, 0, -_PRODUCT_CHUNK_ROWS):
+            lo = max(hi - _PRODUCT_CHUNK_ROWS, 0)
+            rows = chunk[: hi - lo]
+            np.copyto(rows[:, 0], out[lo:hi])
+            np.multiply(rows, v[None, :], out=out[2 * lo : 2 * hi].reshape(-1, 2))
+        size *= 2
     return out
 
 
 def branching_to_dense(bs: BranchingState) -> PureState:
-    """Expand the analytic branching form into a full amplitude vector."""
-    branch0, branch1 = bs.branch_vectors()
-    k0 = _kron_sites(branch0)
-    k1 = _kron_sites(branch1)
-    amps = np.empty(2 * k0.shape[0], dtype=complex)
-    amps[0::2] = bs.alpha0 * k0
-    amps[1::2] = bs.beta0 * k1
+    """Expand the analytic branching form into a full amplitude vector, each
+    branch built in place in the amplitudes whose system bit it holds, then
+    scaled by its system coefficient."""
+    amps = np.empty(2 << bs.n_env, dtype=complex)
+    for bit, (coeff, branch) in enumerate(zip((bs.alpha0, bs.beta0), bs.branch_vectors())):
+        half = _product_into(amps[bit::2], branch)
+        np.multiply(coeff, half, out=half)  # coeff first: `half *= coeff` may round differently
     return PureState(bs.n_env + 1, amps)
 
 
 def dense_product_state(coeffs: ProductCoeffs) -> PureState:
-    """Amplitude vector of a product state (site k on bit k)."""
-    return PureState(coeffs.n_sites, _kron_sites(coeffs.coeffs))
+    """Amplitude vector of a product state (site k on bit k), built in place
+    in its one 2^n buffer, with no per-site Kronecker intermediates."""
+    amps = np.empty(1 << coeffs.n_sites, dtype=complex)
+    return PureState(coeffs.n_sites, _product_into(amps, coeffs.coeffs))
 
 
 def align_global_phase(state: PureState, reference: PureState) -> PureState:

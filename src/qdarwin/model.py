@@ -643,7 +643,11 @@ def _flip_diagonals(instance: ModelInstance) -> dict:
     the energies of the 2^k states below it gain s_k * (h_k + sum_{i<k} J_ik s_i),
     a local field bit-doubled from its own lower half. A term with an x or y
     factor is a signed permutation (sigma_x flips a bit, sigma_y flips with
-    phase +-i, sigma_z applies +-1) and adds its phase into D_f.
+    phase +-i, sigma_z applies +-1) and adds its phase into D_f. The phase is
+    formed in place in one array, with no basis index array: a y factor
+    multiplies it by i, and a y or z factor on qubit k negates its half whose
+    bit k is set, both exact. It is added into D_f in place, or becomes a new
+    D_f as 0 + phase, which turns the -0s of a negation into the +0s of a sum.
     """
     dim = 1 << instance.n_qubits
     energies = np.zeros(dim)
@@ -665,14 +669,18 @@ def _flip_diagonals(instance: ModelInstance) -> dict:
              for i, j, a, b in zip(*np.nonzero(instance.j_tensor)) if min(a, b) < 2]
     terms += [(instance.fields[site, c], ((site, c),))
               for site, c in zip(*np.nonzero(instance.fields[:, :2]))]
-    basis = np.arange(dim) if terms else None
     for coeff, factors in terms:
         flip, phase = 0, np.full(dim, coeff, dtype=complex)
         for site, axis in factors:
             flip ^= int(axis < 2) << site  # x and y flip the bit
-            if axis:  # y multiplies by +-i, z by +-1
-                phase *= (1j if axis == 1 else 1) * (1 - 2 * ((basis >> site) & 1))
-        diagonals[flip] = diagonals.get(flip, 0) + phase
+            if axis == 1:
+                phase *= 1j
+            if axis:  # y and z negate the states with the bit set
+                phase.reshape(-1, 2, 1 << site)[:, 1] *= -1
+        if flip in diagonals:
+            diagonals[flip] += phase
+        else:  # 0 + phase turns a -0 the sign flips leave into +0
+            diagonals[flip] = np.add(0, phase, out=phase)
     return diagonals
 
 

@@ -5,6 +5,7 @@ import string
 import numpy as np
 
 import qdarwin as q
+from qdarwin.model import _flip_diagonals  # bound here, so a test may patch model's name
 
 PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -42,6 +43,28 @@ def oracle_hamiltonian(instance):
             if coeff:
                 h += coeff * kron_pauli(n, {site: AXES[c]})
     return h
+
+
+def reference_flip_diagonals(instance):
+    """H's flip-diagonal form {f: D_f}, H[b ^ f, b] = D_f[b], with each term's
+    phase formed from an integer basis and a (1 - 2 * bit) sign pattern per y
+    or z factor, the formula ``model._flip_diagonals`` used before it flipped
+    signs in place. D_0 holds no phase and is taken from the package."""
+    dim = 1 << instance.n_qubits
+    basis = np.arange(dim)
+    diagonals = {0: _flip_diagonals(instance)[0]}
+    terms = [(instance.j_tensor[i, j, a, b], ((i, a), (j, b)))
+             for i, j, a, b in zip(*np.nonzero(instance.j_tensor)) if min(a, b) < 2]
+    terms += [(instance.fields[site, c], ((site, c),))
+              for site, c in zip(*np.nonzero(instance.fields[:, :2]))]
+    for coeff, factors in terms:
+        flip, phase = 0, np.full(dim, coeff, dtype=complex)
+        for site, axis in factors:
+            flip ^= int(axis < 2) << site
+            if axis:
+                phase *= (1j if axis == 1 else 1) * (1 - 2 * ((basis >> site) & 1))
+        diagonals[flip] = diagonals.get(flip, 0) + phase
+    return diagonals
 
 
 def oracle_reduced_density(amplitudes, keep):

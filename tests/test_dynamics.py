@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdarwin as q
+from qdarwin import dynamics
 from qdarwin.model import _flip_diagonals
 
 from helpers import (
@@ -200,6 +202,31 @@ class TestBranchingToDense:
         expected = np.zeros(8)
         expected[0b010] = 1.0  # qubit 1 in |1>, qubits 0 and 2 in |0>
         np.testing.assert_array_equal(psi.amplitudes, expected.astype(complex))
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 9, 14])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, dynamics._PRODUCT_CHUNK_ROWS])
+    def test_product_state_is_kron_bit_for_bit(self, monkeypatch, n_sites, chunk_rows):
+        """Site doubling in the final buffer makes np.kron's multiplies, so
+        its bytes, for any chunk of rows (14 sites take two 4096-row chunks
+        on their last doubling)."""
+        monkeypatch.setattr(dynamics, "_PRODUCT_CHUNK_ROWS", chunk_rows)
+        coeffs = q.random_product_state(n_sites, n_sites).coeffs
+        psi = q.dense_product_state(q.ProductCoeffs(coeffs))
+        assert np.array_equal(psi.amplitudes, reduce(np.kron, coeffs[::-1]))
+
+    @pytest.mark.parametrize("n_env", [0, 1, 2, 6, 13])
+    def test_branches_are_kron_bit_for_bit(self, n_env):
+        """Each branch is built in place in its strided half of the amplitudes,
+        then scaled by its system coefficient: the bytes of np.kron and one
+        multiply. With no environment the state is the system pair itself."""
+        bs = random_branching(np.random.default_rng(n_env), n_env)
+        expected = np.empty(2 << n_env, dtype=complex)
+        for bit, (coeff, branch) in enumerate(zip((bs.alpha0, bs.beta0), bs.branch_vectors())):
+            expected[bit::2] = coeff * reduce(np.kron, branch[::-1], np.ones(1, dtype=complex))
+        psi = q.branching_to_dense(bs)
+        assert np.array_equal(psi.amplitudes, expected)
+        if n_env == 0:
+            assert np.array_equal(psi.amplitudes, [bs.alpha0, bs.beta0])
 
 
 class TestDenseEngine:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qdarwin as q
-from qdarwin import experiments, information
+from qdarwin import dynamics, experiments, information
 
 from helpers import random_generic_instance, random_state
 
@@ -67,9 +67,19 @@ def test_entropy_allocates_gram_and_bounded_blocks(psi, keep):
     assert peak_bytes(q.subsystem_entropy, psi, keep) <= 16 * d * d + 3 * block + SLACK
 
 
+def test_product_state_is_built_in_its_own_buffer():
+    """The amplitudes are written in place in the one 2^n buffer: besides it,
+    one chunk of rows and the two iterator buffers numpy's ufunc keeps for the
+    broadcast multiply (np.kron's per-site intermediates reached 1.56 states)."""
+    coeffs = q.random_product_state(N_QUBITS, 3)
+    chunk_bytes = 16 * dynamics._PRODUCT_CHUNK_ROWS
+    ufunc_buffers = 2 * 16 * np.getbufsize()
+    bound = STATE_BYTES + chunk_bytes + ufunc_buffers + SLACK
+    assert peak_bytes(q.dense_product_state, coeffs) <= bound
+
+
 def test_diagonal_evolve_allocates_one_state(psi, diagonal):
-    energies_bytes = 8 << N_QUBITS
-    assert peak_bytes(diagonal.evolve, psi, 1.3) <= STATE_BYTES + energies_bytes
+    assert peak_bytes(diagonal.evolve, psi, 1.3) <= STATE_BYTES + (256 << 10)
 
 
 def test_dense_propagator_holds_only_its_factorization(codi):
@@ -82,6 +92,14 @@ def test_dense_propagator_holds_only_its_factorization(codi):
     finally:
         tracemalloc.stop()
     assert held <= prop._modes.nbytes + prop._energies.nbytes + SLACK
+
+
+def test_dense_propagator_build_peaks_at_its_factorization(codi):
+    """H's blocks (two states for CODI's 2 x 2 blocks) are filled from one
+    in-place phase array per term, with no integer basis or sign pattern, so
+    the build peaks while eigh holds H beside the modes and the energies:
+    4.5 states, against 5.78 when the phases were formed from the basis."""
+    assert peak_bytes(q.DensePropagator, codi) <= 4.5 * STATE_BYTES + SLACK
 
 
 @pytest.mark.parametrize("flipped", [0, 5])

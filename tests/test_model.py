@@ -4,10 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qdarwin as q
+from qdarwin import model
 from qdarwin.model import AXES, _block_axes
 
 from helpers import (
     PAULI, kron_pauli, oracle_hamiltonian, oracle_reduced_density, random_generic_instance,
+    reference_flip_diagonals,
 )
 
 
@@ -682,6 +684,21 @@ class TestHamiltonian:
         psi = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
         blocks = psi.reshape((2,) * n).transpose(_block_axes(n, mask)).reshape(layout.shape)
         assert np.array_equal(blocks, psi[layout])
+
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_phases_match_the_basis_pattern_formula(self, monkeypatch, blocked):
+        """The in-place sign flips give H bit for bit, signs of zero included,
+        as the integer-basis sign pattern did: CODI and CPDI-S instances, and
+        generic ones with x, y and z factors on every pair and site."""
+        instances = [q.sample_instance(q.build_model(name, 6), seed)
+                     for name in ("CODI", "CPDI_S") for seed in range(4)]
+        instances += [random_generic_instance(np.random.default_rng(seed), 3) for seed in range(8)]
+        stacks = [q.hamiltonian_matrix(instance, blocked) for instance in instances]
+        monkeypatch.setattr(model, "_flip_diagonals", reference_flip_diagonals)
+        for instance, h in zip(instances, stacks):
+            expected = q.hamiltonian_matrix(instance, blocked)
+            assert np.array_equal(h, expected)
+            assert np.array_equal(np.signbit(h.view(float)), np.signbit(expected.view(float)))
 
     def test_dimension_cap(self):
         spec = q.build_model("CPDI", 13)
