@@ -69,6 +69,7 @@ _CHUNK_BYTES = 64 * 1024
 _TABLES = ("i", "s", "ratio", "chi", "discord")
 
 FRAGMENT_POLICIES = ("prefix", "random")
+# the config's fields in order; the first five have no default
 _CONFIG_KEYS = (
     "model", "n_env", "time_grid", "fragment_sizes", "realizations", "master_seed",
     "overrides", "fragment_policy", "subsets_per_realization",
@@ -128,6 +129,8 @@ class ExperimentConfig:
             raise ValueError(f"fragment_policy must be one of {FRAGMENT_POLICIES}")
         if self.fragment_policy == "prefix" and self.subsets_per_realization != 1:
             raise ValueError("the prefix fragment policy takes subsets_per_realization = 1")
+        if not isinstance(self.overrides, Mapping):
+            raise ValueError(f"overrides: expected a JSON object, got {self.overrides!r}")
         overrides = dict(self.overrides)
         build_model(self.model, self.n_env, **overrides)  # the builder checks every key and value
         object.__setattr__(self, "time_grid", times)
@@ -139,7 +142,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        _reject_unknown_keys(doc, _CONFIG_KEYS, "experiment config")
+        _reject_unknown_keys(doc, _CONFIG_KEYS, "experiment config", _CONFIG_KEYS[:5])
         return cls(**doc)
 
 

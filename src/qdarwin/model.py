@@ -131,14 +131,18 @@ _AXIS_FIELDS = ("axes", "component")
 _SPEC_KEYS = ("label", "n_env", "b0", *_KEY_FIELDS)  # keys of the model-spec JSON schema
 
 
-def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
+def _reject_unknown_keys(doc: dict, allowed, where: str, required=()) -> None:
     """Raise ValueError unless ``doc`` is a JSON object with no key outside
-    ``allowed``, naming the first key that is."""
+    ``allowed`` and every key of ``required``, naming the first key that is
+    unknown, else the first that is missing."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, got {doc!r}")
     for key in doc:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {where}; allowed: {sorted(allowed)}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"missing key {key!r} in {where}")
 
 
 def _integer(value, key: str) -> int:
@@ -225,7 +229,7 @@ def _source_law(source):
     if kind not in _LAWS:
         raise ValueError(f"source: expected an object of type {sorted(_LAWS)}, got {source!r}")
     law_type, key = _LAWS[kind]
-    _reject_unknown_keys(source, ("type", key), f"{kind} source")
+    _reject_unknown_keys(source, ("type", key), f"{kind} source", (key,))
     return law_type(source[key])
 
 
@@ -361,12 +365,13 @@ class ModelSpec:
     def from_json_dict(cls, doc: dict) -> "ModelSpec":
         """Assemble a spec from its JSON document; the constructor checks every
         value, this only the document's shape."""
-        _reject_unknown_keys(doc, _SPEC_KEYS, "model spec")
+        _reject_unknown_keys(doc, _SPEC_KEYS, "model spec", ("n_env",))
         mappings = {}
         for name, fields in _KEY_FIELDS.items():
             mappings[name] = {}
             for entry in doc.get(name, []):
-                _reject_unknown_keys(entry, (*fields, "source"), f"{name} entry")
+                keys = (*fields, "source")
+                _reject_unknown_keys(entry, keys, f"{name} entry", keys)
                 key = _entry_key(name, entry)
                 if key in mappings[name]:  # tuple equality: site 1 and 1.0 are one key
                     raise ValueError(f"{name}: repeated entry for key {key!r}")
@@ -431,20 +436,6 @@ class ModelInstance:
     @property
     def n_qubits(self) -> int:
         return self.n_env + 1
-
-    def sys_env_matrix(self) -> np.ndarray:
-        """Couplings of the system to the environment as a 3 x 3N matrix,
-        rows indexed by the system axis, columns by (site, env axis)."""
-        block = self.j_tensor[0, 1:, :, :]            # (N, 3 sys, 3 env)
-        return block.transpose(1, 0, 2).reshape(3, 3 * self.n_env)
-
-    def coupling_scale(self) -> float:
-        return float(np.max(np.abs(self.j_tensor))) if self.j_tensor.size else 0.0
-
-    def intra_abs_max(self) -> float:
-        if self.n_env < 2:
-            return 0.0
-        return float(np.max(np.abs(self.j_tensor[1:, 1:, :, :])))
 
     def flip_mask(self) -> int:
         """Bit mask of the qubits some term flips: those with an x or y field
@@ -598,34 +589,18 @@ def classify(instance: ModelInstance, continuous_support: bool, tol: float = 1e-
     """
     if _real(tol, "tol") <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    m = instance.sys_env_matrix()
-    b0 = instance.fields[0]
-    direction = None
-    if not m.any():
-        # decoupled system: rank 0, so only the field picks an axis; with no
-        # field every basis is retained
-        pointer = True
-        if b0.any():
-            direction = Vec3.from_array(b0 / np.linalg.norm(b0))
-    else:
-        u, s, _ = np.linalg.svd(m)
-        rank_ok = s[1] <= tol * s[0]
-        if rank_ok:
-            v0 = u[:, 0]
-            k = int(np.argmax(np.abs(v0)))
-            if v0[k] < 0:
-                v0 = -v0
-            b0_norm = float(np.linalg.norm(b0))
-            parallel = b0_norm == 0.0 or float(
-                np.linalg.norm(np.cross(b0, v0))
-            ) <= tol * b0_norm
-            pointer = parallel
-            if pointer:
-                direction = Vec3.from_array(v0 / np.linalg.norm(v0))
-        else:
-            pointer = False
-    scale = instance.coupling_scale()
-    no_scrambling = instance.intra_abs_max() <= tol * scale
+    jt, b0 = instance.j_tensor, instance.fields[0]
+    block = jt[0, 1:].transpose(1, 0, 2).reshape(3, -1)  # (system axis, site x env axis)
+    axis, pointer = b0, True  # a decoupled system keeps its field's axis, or every axis
+    if block.any():
+        u, s, _ = np.linalg.svd(block)
+        axis = u[:, 0]
+        if axis[np.argmax(np.abs(axis))] < 0:
+            axis = -axis
+        pointer = bool(s[1] <= tol * s[0]
+                       and np.linalg.norm(np.cross(b0, axis)) <= tol * np.linalg.norm(b0))
+    direction = Vec3.from_array(axis / np.linalg.norm(axis)) if pointer and axis.any() else None
+    no_scrambling = bool(np.abs(jt[1:, 1:]).max() <= tol * np.abs(jt).max())
     return Classification(
         pointer_basis=pointer,
         continuous_support=bool(continuous_support),

@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,48 @@ class TestClassifyCommand:
             doc["no_scrambling"],
             doc["darwinism_supported"],
         ) == expected
+
+    @pytest.mark.parametrize(
+        "sys_env,expected",
+        [
+            # rank 1 along x, parallel to the system field
+            ([("xz", 1, 0.7), ("xy", 2, 1.2)], [True, True, True, True]),
+            # rank 2: xz and yy
+            ([("xz", 1, 0.7), ("yy", 2, 1.2)], [False, True, True, False]),
+        ],
+        ids=["rank-1-x", "rank-2"],
+    )
+    def test_flags_are_json_booleans(self, tmp_path, capsys, sys_env, expected):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "n_env": 2,
+            "b0": [0.5, 0.0, 0.0],
+            "sys_env": [{"axes": axes, "site": site, "source": {"type": "uniform", "a": a}}
+                        for axes, site, a in sys_env],
+        }))
+        assert main(["classify", "--config", str(config)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc.values()) == expected
+        assert all(type(value) is bool for value in doc.values())
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.pop("n_env"), "missing key 'n_env' in model spec"),
+            (lambda d: d["sys_env"][0].pop("source"), "missing key 'source' in sys_env entry"),
+            (lambda d: d["intra_env"].append({"axes": "zz", "source": {"type": "uniform", "a": 1}}),
+             "missing key 'sites' in intra_env entry"),
+            (lambda d: d["sys_env"][0]["source"].pop("a"), "missing key 'a' in uniform source"),
+        ],
+        ids=["spec", "entry-source", "entry-field", "source"],
+    )
+    def test_missing_key_is_named_with_its_document(self, tmp_path, capsys, edit, message):
+        doc = q.build_model("CPDI", 2).to_json_dict()
+        edit(doc)
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(doc))
+        assert main(["classify", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -328,6 +371,25 @@ class TestSweepCommand:
         config = write_sweep_config(tmp_path, realizations=2.0, fragment_sizes=[0.0, 3.0])
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 0
 
+
+    @pytest.mark.parametrize("overrides", [[["half_width", 2]], None, "half_width"])
+    def test_overrides_must_be_an_object(self, tmp_path, capsys, overrides):
+        config = write_sweep_config(tmp_path, overrides=overrides)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert "error: overrides: expected a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key", ["model", "n_env", "time_grid", "fragment_sizes", "realizations"]
+    )
+    def test_missing_key_is_named_with_its_config(self, tmp_path, capsys, key):
+        path = tmp_path / "sweep.json"
+        config = json.loads(Path(write_sweep_config(tmp_path)).read_text())
+        del config[key]
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: missing key {key!r} in experiment config\n"
 
     def test_override_the_model_does_not_read_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -339,7 +339,7 @@ class TestSampleInstance:
     def test_cpdi_intra_exactly_zero(self):
         spec = q.build_model("CPDI", 6)
         inst = q.sample_instance(spec, 3)
-        assert inst.intra_abs_max() == 0.0
+        assert not inst.j_tensor[1:, 1:].any()
         assert np.array_equal(inst.fields, np.zeros((7, 3)))
 
     def test_coupling_moments(self):
@@ -510,6 +510,17 @@ class TestClassify:
         verdict = q.classify(inst, False)
         assert verdict.pointer_basis
         np.testing.assert_allclose(verdict.pointer_direction.as_array(), [0.6, 0.0, 0.8])
+
+    def test_decoupled_system_keeps_its_field_axis_beside_intra_couplings(self):
+        jt = np.zeros((3, 3, 3, 3))
+        jt[1, 2, 0, 1] = 0.5
+        fields = np.zeros((3, 3))
+        fields[0] = [0.0, -3.0, 4.0]
+        verdict = q.classify(q.ModelInstance(n_env=2, j_tensor=jt, fields=fields), True)
+        assert verdict.pointer_basis is True
+        assert verdict.pointer_direction == q.Vec3(0.0, -0.6, 0.8)
+        assert verdict.no_scrambling is False
+        assert verdict.darwinism_supported is False
 
     @settings(max_examples=150, deadline=None)
     @given(case=pointer_cases())
