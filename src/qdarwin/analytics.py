@@ -54,6 +54,13 @@ def _check_unit_interval(name, value) -> float:
     return x
 
 
+def _check_open_unit_interval(name, value) -> float:
+    x = _real(value, name)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
+    return x
+
+
 def averaged_gamma_squared(dist, alpha_sq, t):
     """Disorder average of the squared site decoherence factor |Gamma_i(t)|^2.
 
@@ -110,9 +117,7 @@ def weak_decoherence_slope(alpha0_sq) -> float:
     Evaluates 4x(1-x) artanh(1-2x) / (1-2x) / ln 2; near x = 1/2 the removable
     singularity is handled by the series artanh(u)/u = 1 + u^2/3 + u^4/5.
     """
-    x = _real(alpha0_sq, "alpha0_sq")
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"alpha0_sq must lie strictly inside (0, 1), got {x}")
+    x = _check_open_unit_interval("alpha0_sq", alpha0_sq)
     u = 1.0 - 2.0 * x
     if abs(u) < 2e-4:
         ratio = 1.0 + u * u / 3.0 + u ** 4 / 5.0
@@ -146,13 +151,6 @@ def weak_decoherence_holevo(gamma_f_sq, alpha0_sq) -> float:
     return _first_order(alpha0_sq, _check_unit_interval("gamma_f_sq", gamma_f_sq))
 
 
-def _check_mean_floor(mean_floor):
-    mf = _real(mean_floor, "mean_floor")
-    if not 0.0 < mf < 1.0:
-        raise ValueError(f"mean_floor must lie strictly inside (0, 1), got {mf}")
-    return mf
-
-
 def asymptotic_mutual_info(n, n_env, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
     """Long-time, initial-state-averaged mutual information vs fragment size:
     S_max - slope/2 * (m^N + m^n - m^(N-n)) with m = ``mean_floor``.
@@ -164,7 +162,7 @@ def asymptotic_mutual_info(n, n_env, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
     is 2/3 + Re f(4t)/3, f the coupling's characteristic function."""
     (n_env,) = _sites([n_env], 0, math.inf, "n_env")
     (n,) = _sites([n], 0, n_env, "fragment size")
-    mf = _check_mean_floor(mean_floor)
+    mf = _check_open_unit_interval("mean_floor", mean_floor)
     return _first_order(alpha0_sq, mf ** n_env + mf ** n - mf ** (n_env - n))
 
 
@@ -177,5 +175,5 @@ def asymptotic_holevo(n, alpha0_sq, mean_floor=2.0 / 3.0) -> float:
     weights the mean floor is 2/3 + Re f(4t)/3, f the coupling's
     characteristic function."""
     (n,) = _sites([n], 0, math.inf, "fragment size")
-    mf = _check_mean_floor(mean_floor)
+    mf = _check_open_unit_interval("mean_floor", mean_floor)
     return _first_order(alpha0_sq, mf ** n)

@@ -1,8 +1,8 @@
 """Command-line surface: model classification, sweeps, figure pipelines, and
 averaged-decoherence curves, with CSV/JSON output and an SVG heatmap renderer.
 
-Exit codes: 0 on success, 2 on usage errors (bad flags, malformed configs),
-1 on runtime failures such as I/O errors.
+Exit codes: 0 on success, 2 on usage errors (bad flags, or a ValueError that
+names its key), 1 on anything else, such as I/O errors or an internal error.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def _cmd_sweep(args) -> None:
     config = ExperimentConfig.from_json_dict(_load_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    _check_svg_quantity(args, build_model(config.model, config.n_env, **config.overrides))
+    _check_svg_quantity(args, config.spec)
     result = run_sweep(config)
     _write_outputs(result, args)
 
@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    _ENGINE_MAX_ENTRIES, ModelInstance, _as_rng, _block_axes, _flip_diagonals, _integer,
-    _number_array, _positive_integer, _real, _sites, hamiltonian_matrix,
+    ModelInstance, _as_rng, _block_axes, _flip_diagonals, _integer, _number_array,
+    _positive_integer, _real, _sites, hamiltonian_matrix,
 )
 
 
@@ -62,7 +62,7 @@ class PureState:
 def _check_site_norms(coeffs: np.ndarray) -> None:
     """Raise unless every (a, b) row satisfies |a|^2 + |b|^2 = 1 within 1e-12."""
     norms = np.abs(coeffs[:, 0]) ** 2 + np.abs(coeffs[:, 1]) ** 2
-    if norms.size and np.max(np.abs(norms - 1.0)) > 1e-12:
+    if np.max(np.abs(norms - 1.0)) > 1e-12:
         raise ValueError("every site must satisfy |a|^2 + |b|^2 = 1 within 1e-12")
 
 
@@ -105,22 +105,19 @@ class BranchingState:
     time: float
 
     def __post_init__(self):
-        a0 = complex(self.alpha0)
-        b0 = complex(self.beta0)
-        if abs(abs(a0) ** 2 + abs(b0) ** 2 - 1.0) > 1e-12:
-            raise ValueError("(alpha0, beta0) must be normalized within 1e-12")
+        system = _number_array([[self.alpha0, self.beta0]], "alpha0, beta0", complex)
         coeffs = _number_array(self.site_coeffs, "site_coeffs", complex)
         if coeffs.ndim != 2 or coeffs.shape[1] != 2:
             raise ValueError(f"site_coeffs must have shape (N, 2), got {coeffs.shape}")
         fields = _number_array(self.fields, "fields")
         if fields.shape != (coeffs.shape[0],):
             raise ValueError("fields must hold one coupling per environment site")
-        _check_site_norms(coeffs)
+        _check_site_norms(np.concatenate([system, coeffs]))  # the system's pair too
         t = _real(self.time, "time")
         if t < 0:
             raise ValueError(f"time must be finite and >= 0, got {t}")
-        object.__setattr__(self, "alpha0", a0)
-        object.__setattr__(self, "beta0", b0)
+        object.__setattr__(self, "alpha0", system[0, 0].item())
+        object.__setattr__(self, "beta0", system[0, 1].item())
         object.__setattr__(self, "site_coeffs", coeffs)
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "time", t)
@@ -180,18 +177,8 @@ def evolve_branching(init: ProductCoeffs, fields, t: float) -> BranchingState:
     ``init`` holds the system site first, then one pair per environment site;
     ``fields`` holds the coupling of each environment site to the system.
     """
-    fields = _number_array(fields, "fields")
-    if init.n_sites != fields.shape[0] + 1:
-        raise ValueError(
-            f"init has {init.n_sites} sites but fields has {fields.shape[0]} entries"
-        )
-    return BranchingState(
-        alpha0=init.coeffs[0, 0],
-        beta0=init.coeffs[0, 1],
-        site_coeffs=init.coeffs[1:],
-        fields=fields,
-        time=t,
-    )
+    return BranchingState(alpha0=init.coeffs[0, 0], beta0=init.coeffs[0, 1],
+                          site_coeffs=init.coeffs[1:], fields=fields, time=t)
 
 
 _PRODUCT_CHUNK_ROWS = 4096  # rows of _product_into's one temporary: 64 KiB
@@ -329,9 +316,6 @@ class DiagonalPropagator:
         if not instance.is_z_only():
             raise ValueError("non-diagonal instance: couplings or fields off the z axis")
         self.n_qubits = instance.n_qubits
-        if 1 << self.n_qubits > _ENGINE_MAX_ENTRIES:
-            raise ValueError(f"{1 << self.n_qubits} amplitudes exceed the engine cap of "
-                             f"{_ENGINE_MAX_ENTRIES}")
         self._energies = _flip_diagonals(instance)[0]
 
     def evolve(self, state: PureState, t: float) -> PureState:

@@ -32,6 +32,7 @@ fragment sizes, S subsets per size (1 for the prefix policy,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Mapping
@@ -49,6 +50,7 @@ from .information import NumericalError, _closed_form_tables, subsystem_entropy
 from .model import (
     ModelSpec,
     _integer,
+    _items,
     _positive_integer,
     _real,
     _reject_unknown_keys,
@@ -88,12 +90,23 @@ def mix_seed(master_seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
+def _grid(values, number, key: str, hi) -> tuple:
+    """``values`` through ``number`` (``_real`` or ``_integer``) as a tuple;
+    ValueError naming ``key`` unless it is nonempty, strictly increasing and within 0..hi."""
+    grid = tuple(number(v, key) for v in _items(values, key))
+    if not grid or grid[0] < 0 or grid[-1] > hi or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{key} must be nonempty, strictly increasing and within 0..{hi}, "
+                         f"got {list(grid)}")
+    return grid
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to rerun a sweep bit for bit.
 
     The model alone decides the engine, and every sweep reports
-    ``ratio = I / S_max``, so neither is configured."""
+    ``ratio = I / S_max``, so neither is configured. ``spec`` is the model's
+    spec, built once, which checks every override."""
 
     model: str
     n_env: int
@@ -105,26 +118,15 @@ class ExperimentConfig:
     fragment_policy: str = "prefix"
     subsets_per_realization: int = 1
     keep_realizations: bool = False
+    spec: ModelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "model", canonical_kind(self.model))
         for key in ("n_env", "realizations", "subsets_per_realization"):
             object.__setattr__(self, key, _positive_integer(getattr(self, key), key))
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
-        times = tuple(_real(t, "time_grid") for t in self.time_grid)
-        if not times:
-            raise ValueError("time_grid must be nonempty")
-        if any(t < 0 for t in times):
-            raise ValueError("time_grid entries must be >= 0")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("time_grid must be strictly increasing")
-        sizes = tuple(_integer(n, "fragment_sizes") for n in self.fragment_sizes)
-        if not sizes:
-            raise ValueError("fragment_sizes must be nonempty")
-        if any(n < 0 or n > self.n_env for n in sizes):
-            raise ValueError(f"fragment sizes must lie in 0..{self.n_env}, got {sizes}")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("fragment_sizes must be strictly increasing")
+        times = _grid(self.time_grid, _real, "time_grid", math.inf)
+        sizes = _grid(self.fragment_sizes, _integer, "fragment_sizes", self.n_env)
         if self.fragment_policy not in FRAGMENT_POLICIES:
             raise ValueError(f"fragment_policy must be one of {FRAGMENT_POLICIES}")
         if self.fragment_policy == "prefix" and self.subsets_per_realization != 1:
@@ -132,7 +134,7 @@ class ExperimentConfig:
         if not isinstance(self.overrides, Mapping):
             raise ValueError(f"overrides: expected a JSON object, got {self.overrides!r}")
         overrides = dict(self.overrides)
-        build_model(self.model, self.n_env, **overrides)  # the builder checks every key and value
+        object.__setattr__(self, "spec", build_model(self.model, self.n_env, **overrides))
         object.__setattr__(self, "time_grid", times)
         object.__setattr__(self, "fragment_sizes", sizes)
         object.__setattr__(self, "overrides", overrides)
@@ -317,8 +319,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     Each chunk of realizations is folded into running statistics and then
     dropped, so memory does not grow with the realization count unless the
     config keeps the per-realization values."""
-    spec = build_model(config.model, config.n_env, **config.overrides)
-    engine = _engine(spec)
+    engine = _engine(config.spec)
     times = np.asarray(config.time_grid)
     sizes = np.asarray(config.fragment_sizes, dtype=int)
     r_count = config.realizations
@@ -331,7 +332,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     chunk = max(1, _CHUNK_BYTES // cell_bytes)
     for start in range(0, r_count, chunk):
         stop = min(start + chunk, r_count)
-        draws = (_realization(spec, config, r) for r in range(start, stop))  # drawn lazily
+        draws = (_realization(config.spec, config, r) for r in range(start, stop))  # lazily
         if engine == "branching":
             # the closed form reads only the system-environment couplings,
             # copied out so that a view does not keep the instance alive

@@ -17,7 +17,7 @@ from numpy.linalg import _umath_linalg
 
 from .analytics import binary_entropy
 from .dynamics import BranchingState, PureState, _site_overlaps
-from .model import _integer, _number_array, _sites
+from .model import _integer, _items, _number_array, _sites
 
 _EIG_TOL = 1e-9
 _CUT_CACHE_SIZE = 1024
@@ -199,7 +199,7 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
     A state larger than ``_GRAM_BLOCK_BYTES`` has the lower triangle of its
     Gram summed block by block, so the cut never copies the whole state.
     """
-    keep = keep if type(keep) is tuple else tuple(keep)  # the plan's cache key
+    keep = keep if type(keep) is tuple else _items(keep, "kept qubits")  # the plan's cache key
     # The plan cache compares keys by value, so True or 1 + 0j would share the
     # checked plan of 1: only a key of plain ints skips the check on a hit.
     if not _PLAIN_INT.issuperset(map(type, keep)):

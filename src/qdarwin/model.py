@@ -89,7 +89,7 @@ class DiscreteUniform:
     support: tuple
 
     def __post_init__(self):
-        support = tuple(_real(v, "support") for v in self.support)
+        support = tuple(_real(v, "support") for v in _items(self.support, "support"))
         if not support:
             raise ValueError("support must be nonempty")
         if len(set(support)) != len(support):
@@ -165,10 +165,21 @@ def _positive_integer(value, key: str) -> int:
     return n
 
 
+def _items(values, key: str) -> tuple:
+    """``values`` (a list, a tuple, a range or a 1-d array) as a tuple; raise ValueError
+    naming ``key`` for a string, a mapping or a non-iterable such as a number or None."""
+    if not isinstance(values, (str, Mapping)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ValueError(f"{key}: expected a list, got {values!r}")
+
+
 def _sites(values, lo, hi, key: str) -> tuple:
     """``values`` as a tuple of distinct ints within lo..hi, each through
     ``_integer``; raise ValueError naming ``key`` for anything else."""
-    sites = tuple(_integer(v, key) for v in values)
+    sites = tuple(_integer(v, key) for v in _items(values, key))
     if len(set(sites)) != len(sites):
         raise ValueError(f"{key} must be distinct, got {list(sites)}")
     if any(not lo <= s <= hi for s in sites):
@@ -226,7 +237,7 @@ def _source(law) -> dict:
 def _source_law(source):
     """The coupling law of a JSON source object."""
     kind = source.get("type") if isinstance(source, dict) else None
-    if kind not in _LAWS:
+    if not isinstance(kind, str) or kind not in _LAWS:
         raise ValueError(f"source: expected an object of type {sorted(_LAWS)}, got {source!r}")
     law_type, key = _LAWS[kind]
     _reject_unknown_keys(source, ("type", key), f"{kind} source", (key,))
@@ -254,9 +265,10 @@ def _check_key(name: str, key, n_env: int) -> tuple:
 
 
 def _entry_key(name: str, entry: dict) -> tuple:
-    """The key of a JSON entry of spec mapping ``name``. Checks only the shape
-    of each field, axes as one string and sites as a list (one site may stand
-    alone), and leaves the values to ``_check_key``."""
+    """The key of a JSON entry of spec mapping ``name``. Checks the shape of
+    each field, axes as one string and sites as a list (one site may stand
+    alone), and each site through ``_integer``, so that the key is hashable;
+    leaves the rest to ``_check_key``."""
     parts = {}
     for field, slots in _KEY_FIELDS[name].items():
         value = entry[field] if field in _AXIS_FIELDS or len(slots) > 1 else [entry[field]]
@@ -264,7 +276,7 @@ def _entry_key(name: str, entry: dict) -> tuple:
         if not isinstance(value, shape) or len(value) != len(slots):
             raise ValueError(f"{name} {field}: expected a {shape.__name__} of length "
                              f"{len(slots)}, got {entry[field]!r}")
-        parts.update(zip(slots, value))
+        parts.update(zip(slots, value if shape is str else [_integer(v, field) for v in value]))
     return tuple(parts[s] for s in sorted(parts))
 
 
@@ -369,16 +381,16 @@ class ModelSpec:
         mappings = {}
         for name, fields in _KEY_FIELDS.items():
             mappings[name] = {}
-            for entry in doc.get(name, []):
+            for entry in _items(doc.get(name, []), name):
                 keys = (*fields, "source")
                 _reject_unknown_keys(entry, keys, f"{name} entry", keys)
                 key = _entry_key(name, entry)
                 if key in mappings[name]:  # tuple equality: site 1 and 1.0 are one key
                     raise ValueError(f"{name}: repeated entry for key {key!r}")
                 mappings[name][key] = _source_law(entry["source"])
-        b0 = doc.get("b0", [0.0, 0.0, 0.0])
-        if not isinstance(b0, list) or len(b0) != 3:
-            raise ValueError(f"b0: expected a list of 3 numbers, got {b0!r}")
+        b0 = _items(doc.get("b0", [0.0, 0.0, 0.0]), "b0")
+        if len(b0) != 3:
+            raise ValueError(f"b0: expected a list of 3 numbers, got {list(b0)!r}")
         return cls(
             label=doc.get("label", ""),
             n_env=doc["n_env"],
@@ -625,6 +637,8 @@ def _flip_diagonals(instance: ModelInstance) -> dict:
     D_f as 0 + phase, which turns the -0s of a negation into the +0s of a sum.
     """
     dim = 1 << instance.n_qubits
+    if dim > _ENGINE_MAX_ENTRIES:
+        raise ValueError(f"{dim} amplitudes exceed the engine cap of {_ENGINE_MAX_ENTRIES}")
     energies = np.zeros(dim)
     local = np.empty(dim >> 1)
     for k in range(instance.n_qubits):

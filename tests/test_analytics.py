@@ -108,12 +108,18 @@ class TestAveragedGamma:
                 q.binary_entropy(bad)
         with pytest.raises(ValueError, match="k: expected finite real"):
             q.characteristic_function(UNIFORM, np.array([1j]))
+        for not_a_law in (None, 1.0, [1.0, 2.0]):
+            with pytest.raises(TypeError, match="not a coupling distribution"):
+                q.characteristic_function(not_a_law, 1.0)
 
     def test_curve_entries_are_numbers(self):
         for key, times, values in (("times", ["0", "1"], [1.0, 0.5]),
                                    ("values", [0.0, 1.0], ["1", True]),
                                    ("values", [0.0, 1.0], [1.0, float("nan")])):
             with pytest.raises(ValueError, match=f"{key}: expected finite real"):
+                q.AveragedGammaCurve(times, values)
+        for times, values in (([0.0, 1.0], [1.0]), (0.0, 1.0), ([[0.0]], [[1.0]])):
+            with pytest.raises(ValueError, match="1-d arrays of equal length"):
                 q.AveragedGammaCurve(times, values)
         curve = q.AveragedGammaCurve([0, 1], [np.float32(1.0), 0.5])
         assert curve.values.dtype == float and curve.values.tolist() == [1.0, 0.5]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qdarwin as q
-from qdarwin import cli, information
+from qdarwin import cli, experiments, information
 from qdarwin.cli import CSV_HEADER, main, render_heatmap_svg, write_csv
 
 
@@ -172,6 +172,34 @@ class TestClassifyCommand:
         for tol in ("nan", "inf"):
             assert main(["classify", "--config", good, "--tol", tol]) == 2
             assert "tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("sys_env", lambda d: d.update(sys_env=5)),
+            ("sys_env", lambda d: d.update(sys_env=None)),
+            ("intra_env", lambda d: d.update(intra_env={"axes": "zz"})),
+            ("b0", lambda d: d.update(b0=5)),
+            ("support", lambda d: d["sys_env"][0].update(
+                source={"type": "discrete", "support": 5})),
+            ("site", lambda d: d["sys_env"][0].update(site={"type": 1})),
+            ("sites", lambda d: d["intra_env"].append(
+                {"axes": "zz", "sites": [[1], 2], "source": {"type": "const", "value": 1.0}})),
+            ("source", lambda d: d["sys_env"][0].update(
+                source={"type": {"type": "uniform", "a": 1.0}})),
+        ],
+        ids=["sys_env-number", "sys_env-null", "intra_env-object", "b0-number",
+             "support-number", "site-object", "sites-list-entry", "source-object-type"],
+    )
+    def test_non_list_and_non_scalar_values_name_their_key(self, tmp_path, capsys, key, edit):
+        doc = q.build_model("CPDI", 2).to_json_dict()
+        edit(doc)
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(doc))
+        assert main(["classify", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}")
+        assert "iterable" not in err and "unhashable" not in err
 
 
 class TestFig2Command:
@@ -372,6 +400,42 @@ class TestSweepCommand:
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 0
 
 
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("time_grid", {"time_grid": 5}),
+            ("time_grid", {"time_grid": None}),
+            ("time_grid", {"time_grid": {"0": 1}}),
+            ("fragment_sizes", {"fragment_sizes": 3}),
+            ("support", {"model": "DPDI", "overrides": {"support": 5}}),
+            ("fragment_sizes", {"fragment_sizes": [1, 0]}),
+        ],
+        ids=["time_grid-number", "time_grid-null", "time_grid-object", "fragment_sizes-number",
+             "support-number", "fragment_sizes-unordered"],
+    )
+    def test_non_list_values_name_their_key(self, tmp_path, capsys, key, edit):
+        config = write_sweep_config(tmp_path, **edit)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}")
+        assert "iterable" not in err and "unhashable" not in err
+        assert not out.exists()
+
+    def test_the_model_is_built_once(self, tmp_path, monkeypatch):
+        # the config's override check builds the spec, and the sweep reuses it
+        builds = []
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return q.build_model(*args, **kwargs)
+
+        for module in (experiments, cli):
+            monkeypatch.setattr(module, "build_model", counted_build)
+        config = write_sweep_config(tmp_path, model="CPDI_S", n_env=2, fragment_sizes=[0, 1, 2])
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 0
+        assert builds == [("CPDI_S", 2)]
+
     @pytest.mark.parametrize("overrides", [[["half_width", 2]], None, "half_width"])
     def test_overrides_must_be_an_object(self, tmp_path, capsys, overrides):
         config = write_sweep_config(tmp_path, overrides=overrides)
@@ -452,6 +516,17 @@ class TestSharedSurface:
 
 
 class TestRuntimeErrors:
+    @pytest.mark.parametrize("error", [TypeError, KeyError, AttributeError])
+    def test_an_error_other_than_value_error_is_internal(self, tmp_path, capsys, monkeypatch,
+                                                        error):
+        # only a ValueError is a usage error: a bug is never reported as one
+        def broken(*args, **kwargs):
+            raise error("a bug")
+
+        monkeypatch.setattr(cli, "classify", broken)
+        assert main(["classify", "--config", write_model_config(tmp_path, "CPDI")]) == 1
+        assert capsys.readouterr().err.startswith("internal error: ")
+
     def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # an unnormalized cut gives a reduced spectrum above 1: the range check fails
         partition = information._partition_matrix

@@ -171,8 +171,9 @@ class TestBranchingEvolution:
 
     def test_length_mismatch(self):
         init = q.random_product_state(4, 0)
-        with pytest.raises(ValueError):
-            q.evolve_branching(init, np.ones(4), 1.0)
+        for fields in (np.ones(4), np.ones(2)):
+            with pytest.raises(ValueError, match="one coupling per environment site"):
+                q.evolve_branching(init, fields, 1.0)
 
     def test_negative_time_rejected(self):
         init = q.random_product_state(2, 0)
@@ -693,6 +694,50 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             q.ProductCoeffs(np.array([[1.0, 0.1]]))
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: q.ProductCoeffs([[1.0, 0.0, 0.0]]), "shape"),
+            (lambda: q.ProductCoeffs([1.0, 0.0]), "shape"),
+            (lambda: q.ProductCoeffs(np.zeros((0, 2))), "shape"),
+            (lambda: q.BranchingState(1.0, 1.0, [[1.0, 0.0]], [0.5], 1.0), "within 1e-12"),
+            (lambda: q.BranchingState(0.6, 0.8, [[1.0, 1.0]], [0.5], 1.0), "within 1e-12"),
+            (lambda: q.BranchingState(0.6, 0.8, [[1.0, 0.0, 0.0]], [0.5], 1.0),
+             "site_coeffs must have shape"),
+            (lambda: q.BranchingState(0.6, 0.8, [1.0, 0.0], [0.5], 1.0),
+             "site_coeffs must have shape"),
+            (lambda: q.BranchingState(0.6, 0.8, [[1.0, 0.0]], [0.5, 0.5], 1.0),
+             "one coupling per environment site"),
+            (lambda: q.align_global_phase(q.PureState(1, [1.0, 0.0]),
+                                          q.PureState(2, [1.0, 0.0, 0.0, 0.0])),
+             "same register"),
+            (lambda: q.DensePropagator(q.sample_instance(q.build_model("CODI", 2), 0))
+             .evolve(q.PureState(2, [1.0, 0.0, 0.0, 0.0]), 1.0), "does not match"),
+            (lambda: q.DiagonalPropagator(q.sample_instance(q.build_model("CPDI_S", 2), 0))
+             .evolve(q.PureState(2, [1.0, 0.0, 0.0, 0.0]), 1.0), "does not match"),
+        ],
+        ids=["product-row", "product-1d", "product-empty", "branching-system-norm",
+             "branching-site-norm", "branching-row", "branching-1d", "branching-fields",
+             "align-registers", "dense-register", "diagonal-register"],
+    )
+    def test_shapes_norms_and_registers_are_checked(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        "alpha0, beta0",
+        [("0.6", "0.8"), (True, 0), (0.6, None), (0.6, float("nan")), ([0.6], 0.8)],
+    )
+    def test_branching_system_pair_takes_numbers_only(self, alpha0, beta0):
+        with pytest.raises(ValueError, match="alpha0, beta0: expected finite complex"):
+            q.BranchingState(alpha0=alpha0, beta0=beta0, site_coeffs=[[1, 0]], fields=[0.5],
+                             time=1.0)
+
+    def test_branching_system_pair_is_held_as_complex(self):
+        bs = q.BranchingState(np.float64(0.6), 0.8j, [[1, 0]], [0.5], 1.0)
+        assert (bs.alpha0, bs.beta0) == (0.6, 0.8j)
+        assert type(bs.alpha0) is complex and type(bs.beta0) is complex
+
     def test_branching_state_site_range(self):
         bs = random_branching(np.random.default_rng(1), 3)
         with pytest.raises(ValueError):
@@ -741,6 +786,9 @@ class TestStateTypes:
         rotated = q.PureState(3, psi.amplitudes * np.exp(0.7j))
         aligned = q.align_global_phase(rotated, psi)
         assert np.max(np.abs(aligned.amplitudes - psi.amplitudes)) <= 1e-12
+        # no phase to read where the state vanishes on the reference's peak
+        one = q.PureState(1, [0.0, 1j])
+        assert q.align_global_phase(one, q.PureState(1, [1.0, 0.0])) is one
 
     def test_overlap_uses_pauli_convention(self):
         # the dense engine and the analytic branch phases share sigma_z|0> = +|0>

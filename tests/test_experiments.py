@@ -58,6 +58,9 @@ class TestConfig:
             small_config(time_grid=(-1.0, 0.5))
         with pytest.raises(ValueError):
             small_config(fragment_sizes=(0, 5))
+        for sizes in ((), (2, 1), (1, 1)):
+            with pytest.raises(ValueError, match="fragment_sizes must be nonempty, strictly"):
+                small_config(fragment_sizes=sizes)
         with pytest.raises(ValueError):
             small_config(realizations=0)
         with pytest.raises(ValueError):
@@ -79,6 +82,12 @@ class TestConfig:
         config = small_config(n_env=2.0, fragment_sizes=(0, 2), realizations=2.0, master_seed=7.0)
         assert (config.n_env, config.realizations, config.master_seed) == (2, 2, 7)
         assert all(type(v) is int for v in (config.n_env, config.realizations, config.master_seed))
+
+    def test_the_spec_is_built_once_and_held(self):
+        config = small_config(model="CPDI_S", overrides={"scramble_half_width": 0.1})
+        assert config.spec == q.build_model("CPDI_S", 4, scramble_half_width=0.1)
+        assert "spec" not in config.to_json_dict() and "spec" not in repr(config)
+        assert dataclasses.replace(config, master_seed=1).spec == config.spec
 
     def test_json_roundtrip(self):
         config = small_config(

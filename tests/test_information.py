@@ -368,6 +368,9 @@ class TestEntropy:
             q.DensityMatrix(np.diag([0.9, 0.2]))  # trace
         with pytest.raises(ValueError):
             q.DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
+        for shape in ((2,), (2, 3), (1, 2, 2)):
+            with pytest.raises(ValueError, match="square"):
+                q.DensityMatrix(np.full(shape, 0.5))
         negative = np.diag([1.1, -0.1]).astype(complex)
         with pytest.raises(ValueError):
             q.von_neumann_entropy(q.DensityMatrix(negative))
@@ -456,12 +459,17 @@ SIZE_CALLS = {
     "asymptotic_mutual_info n_env": (lambda n: q.asymptotic_mutual_info(0, n, 0.5), "n_env"),
 }
 BAD_SITES = {"non-integral": 1.5, "bool": True, "string": "1", "complex": 1 + 0j}
+# whole arguments that are not a list of sites
+NOT_LISTS = {"number": 5, "none": None, "digit string": "12", "mapping": {1: 1}}
 
 
 def site_cases():
     for name, (call, arg) in SITE_LIST_CALLS.items():
         cases = {kind: [value] for kind, value in BAD_SITES.items()}
         cases.update({"repeated": [1, 1], "out of range": [4]})  # 3 environment sites
+        cases.update(NOT_LISTS)
+        if name == "BranchingState.overlap":
+            del cases["none"]  # None is its default: the whole environment
         for kind, sites in cases.items():
             yield pytest.param(call, arg, [1], sites, id=f"{name}-{kind}")
     for name, (call, arg) in SIZE_CALLS.items():

@@ -449,6 +449,8 @@ class TestSampleInstance:
             q.ModelInstance(n_env=2, j_tensor=jt, fields=np.zeros((3, 3)))
         with pytest.raises(ValueError):
             q.ModelInstance(n_env=2, j_tensor=np.zeros((2, 2, 3, 3)), fields=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="fields must have shape"):
+            q.ModelInstance(n_env=2, j_tensor=np.zeros((3, 3, 3, 3)), fields=np.zeros((3, 2)))
 
     def test_instance_entries_are_numbers(self):
         strung = np.zeros((2, 2, 3, 3)).astype(object)
