@@ -20,7 +20,7 @@ from . import __version__
 from .analytics import averaged_gamma_curve
 from .experiments import ExperimentConfig, SweepResult, reproduce_fig2, reproduce_fig3, run_sweep
 from .information import NumericalError
-from .model import ModelSpec, _law, _positive_integer, build_model, classify, sample_instance
+from .model import _LAWS, ModelSpec, _positive_integer, build_model, classify, sample_instance
 
 CSV_HEADER = (
     "model,realizations,time,fragment_size,I_mean,I_stderr,"
@@ -214,9 +214,15 @@ def _parse_dist(spec: str):
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"malformed distribution spec {spec!r}")
+    if kind not in _LAWS:
+        raise ValueError(f"unknown law type {kind!r}; allowed: {sorted(_LAWS)}")
+    law_type, key = _LAWS[kind]
+    values = _number_list(rest, key)
     if kind == "discrete":
-        return _law(kind, _number_list(rest, "support"))
-    return _law(kind, float(rest))
+        return law_type(values)
+    if len(values) != 1:
+        raise ValueError(f"{key}: expected one number, got {rest!r}")
+    return law_type(values[0])
 
 
 def _load_json(path):

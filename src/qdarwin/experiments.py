@@ -54,6 +54,7 @@ from .model import (
     _positive_integer,
     _real,
     _reject_unknown_keys,
+    _sites,
     build_model,
     canonical_kind,
     sample_instance,
@@ -267,13 +268,10 @@ class _RunningStats:
 
     Each chunk's tables are stacked side by side, one row per realization.
     Three running sums, of x, of d = x - x_0 and of d^2 with x_0 realization
-    0's row, each grow by one reduce over the running sum stacked on top of
-    the chunk's rows. Every engine folds at least three tables, so a row has
-    at least two cells and numpy adds down axis 0 one row after the other:
-    every sum adds in realization order, the mean is bit-identical to
-    ``np.mean(axis=0)`` over all rows, and nothing depends on the chunk size.
-    Shifting by x_0 keeps sum(d^2) - sum(d)^2 / R free of the cancellation the
-    raw second moment suffers.
+    0's row, each add the rows one at a time in realization order, so nothing
+    depends on the chunk size or the table shape. Shifting by x_0 keeps
+    sum(d^2) - sum(d)^2 / R free of the cancellation the raw second moment
+    suffers.
     """
 
     def __init__(self):
@@ -281,21 +279,17 @@ class _RunningStats:
         self.shift = self.sums = None
 
     def add(self, tables) -> None:
-        rows = tables[0].shape[0]
-        stack = np.empty((rows + 1, len(tables), *tables[0].shape[1:]))
-        data = stack[1:]
-        np.stack(tables, axis=1, out=data)
+        data = np.stack(tables, axis=1)
         if self.sums is None:
             self.sums = np.zeros((3, *data.shape[1:]))
             self.shift = data[0].copy()
-        for k in range(3):  # data holds x, then d, then d^2
-            if k == 1:
-                data -= self.shift
-            elif k == 2:
-                np.square(data, out=data)
-            stack[0] = self.sums[k]
-            np.add.reduce(stack, axis=0, out=self.sums[k])
-        self.count += rows
+        total, dev, dev_sq = self.sums
+        for x in data:
+            d = x - self.shift
+            total += x
+            dev += d
+            dev_sq += d * d
+        self.count += len(data)
 
     def mean_stderr(self) -> tuple:
         """Means and standard errors, each of shape (tables, T, F) in the
@@ -400,6 +394,7 @@ def reproduce_fig2(n_env: int = 50, alpha0_sq: float = 0.5) -> np.ndarray:
     (n, I_inf, chi_inf); the classical plateau sits at the maximal system
     entropy (1 bit for a balanced system qubit).
     """
+    (n_env,) = _sites([n_env], 0, math.inf, "n_env")
     ns = np.arange(n_env + 1)
     i_inf = np.array([asymptotic_mutual_info(n, n_env, alpha0_sq) for n in ns])
     chi_inf = np.array([asymptotic_holevo(n, alpha0_sq) for n in ns])

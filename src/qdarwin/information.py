@@ -276,8 +276,8 @@ def _closed_form_tables(weights, site_coeffs, fields, times, masks):
     # Each overlap product multiplies in its chosen sites one at a time, in
     # site order, into an (R, S, T, F) accumulator; an unchosen site is skipped,
     # which rounds as multiplying by an exact 1, so every cell rounds as the
-    # product of its own sites whatever the realization count. Subsets lead
-    # the (T, F) slabs, so the means add them in order.
+    # product of its own sites whatever the realization count. Each mean is a
+    # running sum over the subsets in draw order, whatever the grid's shape.
     # (N, R, S, 1, F) site masks and (N, R, 1, T, 1) site overlaps
     in_frag = np.ascontiguousarray(masks.transpose(3, 0, 2, 1))[:, :, :, None]
     gam_sites = np.moveaxis(gam, -1, 0)[:, :, None, :, None]
@@ -293,8 +293,8 @@ def _closed_form_tables(weights, site_coeffs, fields, times, masks):
     s_joint = _rank2_entropy(cell_weight, 1.0 - np.abs(g_fbar) ** 2)
     s_cond = _rank2_entropy(cell_weight, g_frag_sq - g_env_sq[:, None, :, None])
     s_sys_cells = s_sys[:, None, :, None]
-    i_vals = np.mean(s_sys_cells + s_frag - s_joint, axis=1)
-    chi_vals = np.mean(s_sys_cells - s_cond, axis=1)
+    i_vals = np.add.accumulate(s_sys_cells + s_frag - s_joint, axis=1)[:, -1] / n_s
+    chi_vals = np.add.accumulate(s_sys_cells - s_cond, axis=1)[:, -1] / n_s
     return i_vals, chi_vals, s_sys
 
 

@@ -13,6 +13,7 @@ Conventions shared by every module:
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import astuple, dataclass
@@ -216,14 +217,6 @@ def _number_array(values, key: str, dtype=float) -> np.ndarray:
         raise ValueError(f"{key}: expected finite {number.__name__.lower()} numbers, "
                          f"got {values!r}")
     return arr
-
-
-def _law(kind: str, param):
-    """The coupling law of source type ``kind`` with its one parameter:
-    ``const`` a value, ``uniform`` a half-width, ``discrete`` a sequence of values."""
-    if kind not in _LAWS:
-        raise ValueError(f"unknown law type {kind!r}; allowed: {sorted(_LAWS)}")
-    return _LAWS[kind][0](param)
 
 
 def _source(law) -> dict:
@@ -544,8 +537,11 @@ def build_model(kind: str, n_env: int, **overrides) -> ModelSpec:
 
 
 def _as_rng(seed) -> np.random.Generator:
+    """``seed`` if it is a generator, else a new one seeded by ``seed``, which
+    must be a non-negative integer; raise ValueError naming ``seed`` otherwise."""
     if isinstance(seed, np.random.Generator):
         return seed
+    (seed,) = _sites([seed], 0, math.inf, "seed")
     return np.random.default_rng(seed)
 
 
@@ -556,7 +552,7 @@ def sample_instance(spec: ModelSpec, seed) -> ModelInstance:
     (axis, site, axis) order with x < y < z, then intra-environment entries in
     lexicographic (i, j, axis, axis) order, then environment fields by site
     and component; the spec stores its laws in this order. Point-mass laws
-    consume no generator state. ``seed`` may be an integer or an
+    consume no generator state. ``seed`` may be a non-negative integer or an
     already-initialized generator.
     """
     rng = _as_rng(seed)

@@ -112,6 +112,11 @@ class TestClassifyCommand:
         assert main(["classify", "--config", str(config)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_a_negative_seed_names_its_key(self, tmp_path, capsys):
+        config = write_model_config(tmp_path, "CPDI")
+        assert main(["classify", "--config", config, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed")
+
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -213,6 +218,12 @@ class TestFig2Command:
         assert int(row[0]) == 25
         assert float(row[1]) == pytest.approx(1.0, abs=1e-6)
 
+    def test_a_negative_n_env_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "fig2.csv"
+        assert main(["fig2", "--n-env", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: n_env")
+        assert not out.exists()
+
 
 class TestGammaCommand:
     def test_single_point_at_t0(self, capsys):
@@ -250,6 +261,14 @@ class TestGammaCommand:
             argv = ["gamma", "--dist", dist, "--alpha2", alpha2, "--tmax", tmax, "--steps", "2"]
             assert main(argv) == 2
             assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dist,key", [
+        ("uniform:abc", "a"), ("const:", "value"), ("uniform:1,2", "a"), ("const:0.5,1", "value"),
+    ])
+    def test_a_bad_law_parameter_names_its_key(self, capsys, dist, key):
+        argv = ["gamma", "--dist", dist, "--alpha2", "0.5", "--tmax", "1", "--steps", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: expected")
 
     def test_steps_below_one_is_usage_error(self, capsys):
         argv = ["gamma", "--dist", "uniform:1", "--alpha2", "0.5", "--tmax", "1", "--steps", "0"]

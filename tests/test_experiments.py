@@ -213,6 +213,40 @@ class TestRunSweep:
                                        np.std(values, axis=0, ddof=1) / np.sqrt(7),
                                        rtol=0, atol=1e-15, err_msg=name)
 
+    @pytest.mark.parametrize("subsets", [8, 12, 40])
+    @pytest.mark.parametrize("model", ["CPDI", "DPDI"])
+    def test_closed_form_cell_does_not_depend_on_the_grid(self, model, subsets):
+        """The closed form averages a cell's subsets by a running sum in draw
+        order, so the t = 1 cell has the same bytes on a one-cell grid."""
+        cells = []
+        for grid in ((1.0,), (1.0, 2.0), (0.3, 1.0)):
+            res = q.run_sweep(small_config(
+                model=model, n_env=8, time_grid=grid, fragment_sizes=(3,), realizations=5,
+                fragment_policy="random", subsets_per_realization=subsets,
+                keep_realizations=True,
+            ))
+            ti = grid.index(1.0)
+            cells.append((res.i_values[:, ti], res.chi_values[:, ti]))
+        for i_vals, chi_vals in cells[1:]:
+            np.testing.assert_array_equal(i_vals, cells[0][0])
+            np.testing.assert_array_equal(chi_vals, cells[0][1])
+
+    def test_one_cell_tables_fold_in_realization_order(self):
+        values = np.random.default_rng(3).normal(500.0, 10.0, (200, 1, 1))
+        results = []
+        for size in (1, 7, 200):
+            stats = experiments._RunningStats()
+            for start in range(0, 200, size):
+                stats.add([values[start:start + size]])
+            results.append(stats.mean_stderr())
+        for mean, stderr in results[1:]:
+            np.testing.assert_array_equal(mean, results[0][0])
+            np.testing.assert_array_equal(stderr, results[0][1])
+        total = 0.0
+        for value in values[:, 0, 0]:
+            total += float(value)
+        assert results[0][0][0, 0, 0] == total / 200
+
     def test_variance_clamp_is_bounded(self):
         stats = experiments._RunningStats()
         stats.add([np.full((4, 1, 2), 0.3), np.full((4, 1, 2), -2.0)])
@@ -579,6 +613,12 @@ class TestFig2:
         table = q.reproduce_fig2(n_env=20, alpha0_sq=0.25)
         assert table.shape == (21, 3)
         assert table[10, 1] < 1.0
+
+    def test_n_env_is_a_checked_non_negative_integer(self):
+        assert q.reproduce_fig2(n_env=0).shape == (1, 3)
+        for n_env in (-1, 1.5, "3", True):
+            with pytest.raises(ValueError, match="^n_env"):
+                q.reproduce_fig2(n_env=n_env)
 
 
 class TestFig3Pipelines:

@@ -336,6 +336,18 @@ class TestSampleInstance:
         b = q.sample_instance(spec, 2)
         assert not np.array_equal(a.j_tensor, b.j_tensor)
 
+    @pytest.mark.parametrize("draw", [
+        lambda seed: q.sample_instance(q.build_model("CPDI", 3), seed).j_tensor,
+        lambda seed: q.random_product_state(3, seed).coeffs,
+    ], ids=["sample_instance", "random_product_state"])
+    def test_a_seed_is_a_generator_or_a_non_negative_integer(self, draw):
+        reference = draw(2)
+        for seed in (2.0, np.int64(2), np.random.default_rng(2)):
+            np.testing.assert_array_equal(draw(seed), reference)
+        for seed in (-1, 1.5, "3", None, True):
+            with pytest.raises(ValueError, match="^seed"):
+                draw(seed)
+
     def test_cpdi_intra_exactly_zero(self):
         spec = q.build_model("CPDI", 6)
         inst = q.sample_instance(spec, 3)
