@@ -98,31 +98,21 @@ class AveragedGammaCurve:
 
 
 def averaged_gamma_curve(dist, alpha_sq, times) -> AveragedGammaCurve:
-    """Evaluate the averaged squared decoherence factor on a time grid."""
+    """Evaluate the averaged squared decoherence factor on a 1-d time grid."""
     times = _number_array(times, "times")
-    values = np.asarray(averaged_gamma_squared(dist, alpha_sq, times), dtype=float)
-    floor = gamma_squared_floor(alpha_sq)
-    lo = 2.0 * floor - 1.0
-    if np.any(values > 1.0 + 1e-12) or np.any(values < lo - 1e-12):
-        raise ValueError("averaged decoherence factor left its admissible band")
-    if times.size and times[0] == 0.0 and abs(values[0] - 1.0) > 1e-12:
-        raise ValueError("averaged decoherence factor must be 1 at t = 0")
-    return AveragedGammaCurve(times=times, values=values)
+    return AveragedGammaCurve(times=times, values=averaged_gamma_squared(dist, alpha_sq, times))
 
 
 def weak_decoherence_slope(alpha0_sq) -> float:
     """Sensitivity of the system entropy (in bits) to a small squared
     decoherence factor: S ~ S_max - slope/2 * |Gamma|^2.
 
-    Evaluates 4x(1-x) artanh(1-2x) / (1-2x) / ln 2; near x = 1/2 the removable
-    singularity is handled by the series artanh(u)/u = 1 + u^2/3 + u^4/5.
+    Evaluates 4x(1-x) artanh(u) / u / ln 2 with u = 1-2x directly, with no
+    series window: the limit artanh(u)/u = 1 is taken only at u = 0 (x = 1/2).
     """
     x = _check_open_unit_interval("alpha0_sq", alpha0_sq)
     u = 1.0 - 2.0 * x
-    if abs(u) < 2e-4:
-        ratio = 1.0 + u * u / 3.0 + u ** 4 / 5.0
-    else:
-        ratio = math.atanh(u) / u
+    ratio = math.atanh(u) / u if u else 1.0
     return 4.0 * x * (1.0 - x) * ratio / _LN2
 
 
@@ -134,7 +124,8 @@ def max_system_entropy(alpha0_sq) -> float:
 def _first_order(alpha0_sq, x) -> float:
     """S_max - slope/2 * x: the expansion shared by the weak-decoherence and
     long-time forms, with x the signed sum of squared decoherence factors."""
-    return max_system_entropy(alpha0_sq) - 0.5 * weak_decoherence_slope(alpha0_sq) * x
+    slope = weak_decoherence_slope(alpha0_sq)  # first: it names alpha0_sq, binary_entropy says p
+    return binary_entropy(alpha0_sq) - 0.5 * slope * x
 
 
 def weak_decoherence_mutual_info(gamma_sq, gamma_f_sq, gamma_fbar_sq, alpha0_sq) -> float:

@@ -8,7 +8,6 @@ names its key), 1 on anything else, such as I/O errors or an internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -226,7 +225,10 @@ def _parse_dist(spec: str):
 
 
 def _load_json(path):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--config {path}: not valid JSON: {exc}") from None
 
 
 def _cmd_classify(args) -> None:
@@ -255,9 +257,10 @@ def _check_svg_quantity(args, spec: ModelSpec) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    config = ExperimentConfig.from_json_dict(_load_json(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
+    doc = _load_json(args.config)
+    if args.seed is not None and isinstance(doc, dict):  # any other document fails below
+        doc["master_seed"] = args.seed
+    config = ExperimentConfig.from_json_dict(doc)
     _check_svg_quantity(args, config.spec)
     result = run_sweep(config)
     _write_outputs(result, args)

@@ -122,8 +122,14 @@ class ExperimentConfig:
     spec: ModelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "model", canonical_kind(self.model))
-        for key in ("n_env", "realizations", "subsets_per_realization"):
+        if not isinstance(self.overrides, Mapping):
+            raise ValueError(f"overrides: expected a JSON object, got {self.overrides!r}")
+        overrides = dict(self.overrides)
+        # the spec checks model and n_env; the config takes both from it
+        object.__setattr__(self, "spec", build_model(self.model, self.n_env, **overrides))
+        object.__setattr__(self, "model", self.spec.label)
+        object.__setattr__(self, "n_env", self.spec.n_env)
+        for key in ("realizations", "subsets_per_realization"):
             object.__setattr__(self, key, _positive_integer(getattr(self, key), key))
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
         times = _grid(self.time_grid, _real, "time_grid", math.inf)
@@ -132,10 +138,6 @@ class ExperimentConfig:
             raise ValueError(f"fragment_policy must be one of {FRAGMENT_POLICIES}")
         if self.fragment_policy == "prefix" and self.subsets_per_realization != 1:
             raise ValueError("the prefix fragment policy takes subsets_per_realization = 1")
-        if not isinstance(self.overrides, Mapping):
-            raise ValueError(f"overrides: expected a JSON object, got {self.overrides!r}")
-        overrides = dict(self.overrides)
-        object.__setattr__(self, "spec", build_model(self.model, self.n_env, **overrides))
         object.__setattr__(self, "time_grid", times)
         object.__setattr__(self, "fragment_sizes", sizes)
         object.__setattr__(self, "overrides", overrides)

@@ -129,6 +129,12 @@ class TestAveragedGamma:
         assert curve.values[0] == pytest.approx(1.0)
         assert curve.times.shape == curve.values.shape
 
+    def test_curve_takes_a_1d_time_grid(self):
+        # a scalar or a 2-d grid fails the curve's own shape check
+        for times in (0.0, [[0.0, 1.0]]):
+            with pytest.raises(ValueError, match="1-d arrays of equal length"):
+                q.averaged_gamma_curve(UNIFORM, 0.5, times)
+
 
 class TestSiteFloor:
     def test_balanced_site(self):
@@ -167,6 +173,15 @@ class TestWeakDecoherenceSlope:
         u = 1.0 - 2.0 * x
         series = 4 * x * (1 - x) * (1.0 + u * u / 3.0 + u ** 4 / 5.0) / LN2
         assert q.weak_decoherence_slope(x) == pytest.approx(series, abs=1e-12)
+
+    def test_direct_form_matches_series_near_balance(self):
+        # no series window: artanh(u)/u is evaluated directly down to u = 0
+        for d in (1e-4, 1e-9, 1e-15):
+            for x in (0.5 - d, 0.5 + d):
+                u = 1.0 - 2.0 * x
+                series = 4 * x * (1 - x) * (1.0 + u * u / 3.0 + u ** 4 / 5.0) / LN2
+                assert abs(q.weak_decoherence_slope(x) - series) <= 4 * math.ulp(series)
+        assert q.weak_decoherence_slope(0.5) == 1.0 / LN2
 
     def test_endpoints_rejected(self):
         for x in (0.0, 1.0, -0.1):

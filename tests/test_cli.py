@@ -455,6 +455,40 @@ class TestSweepCommand:
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")]) == 0
         assert builds == [("CPDI_S", 2)]
 
+    def test_seed_override_builds_the_model_once(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return q.build_model(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_model", counted_build)
+        config = write_sweep_config(tmp_path)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", config, "--out", str(out), "--seed", "3"]) == 0
+        assert builds == [("CPDI", 3)]
+        sidecar = json.loads((tmp_path / "x.csv.meta.json").read_text())
+        assert sidecar["master_seed"] == 3 and sidecar["config"]["master_seed"] == 3
+
+    def test_seed_override_keeps_the_object_check(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([{"model": "CPDI"}]))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--seed", "3"]) == 2
+        assert "error: experiment config must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_document_that_is_not_json_names_its_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"model": "CPDI",')
+        out = tmp_path / "x.csv"
+        for argv in (["sweep", "--config", str(path), "--out", str(out)],
+                     ["classify", "--config", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: --config {path}: not valid JSON: Expecting property")
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides", [[["half_width", 2]], None, "half_width"])
     def test_overrides_must_be_an_object(self, tmp_path, capsys, overrides):
         config = write_sweep_config(tmp_path, overrides=overrides)
