@@ -59,12 +59,9 @@ class DensityMatrix:
 class _CutPlan(NamedTuple):
     """Axis plan of a (keep | rest) cut; see ``_cut``."""
 
-    split: tuple  # the amplitude tensor's shape, (2,) * n
     perm: tuple  # tensor axes: the smaller side's, then the larger side's
     shape: tuple  # (d, D): d rows on the smaller side, D columns on the larger
     on_keep: bool  # whether the rows are the kept qubits
-    blocks: tuple  # per block, the index fixing the larger side's leading axes
-    block_shape: tuple  # (d, D / len(blocks))
 
 
 @lru_cache(maxsize=_CUT_CACHE_SIZE)
@@ -77,31 +74,27 @@ def _cut(n: int, keep: tuple) -> _CutPlan:
     is the least significant bit and adjacent axes merge without a copy. The
     smaller side (the kept side on a tie) indexes the rows of the cut matrix
     A, whose Gram A A^H has the same nonzero spectrum as the reduced density
-    matrix. A state larger than ``_GRAM_BLOCK_BYTES`` is cut into blocks, each
-    fixing the larger side's most significant axes, so that the Gram is
-    summed block by block without a full copy of the state. ``keep`` may hold
-    any integers; ``_sites`` checks and converts them here, once per plan. Bad
-    keeps raise on every call (exceptions are not cached).
+    matrix. The plan is geometry only: ``_gram`` alone reads
+    ``_GRAM_BLOCK_BYTES``, so a cached plan holds for any budget. ``keep`` may
+    hold any integers; ``_sites`` checks and converts them here, once per
+    plan. Bad keeps raise on every call (exceptions are not cached).
     """
     keep = _sites(keep, 0, n - 1, "kept qubits")
     kept = [n - 1 - q for q in reversed(keep)]
     rest = [a for a in range(n) if a not in kept]
     on_keep = len(kept) <= len(rest)
     small, large = (kept, rest) if on_keep else (rest, kept)
-    fixed = 0
-    while fixed < len(large) and (16 << (n - fixed)) > _GRAM_BLOCK_BYTES:
-        fixed += 1
-    blocks = tuple(
-        (slice(None),) * len(small) + bits for bits in product((0, 1), repeat=fixed)
-    )
-    return _CutPlan(
-        (2,) * n,
-        tuple(small + large),
-        (1 << len(small), 1 << len(large)),
-        on_keep,
-        blocks,
-        (1 << len(small), 1 << (len(large) - fixed)),
-    )
+    return _CutPlan(tuple(small + large), (1 << len(small), 1 << len(large)), on_keep)
+
+
+def _plan(psi: PureState, keep) -> _CutPlan:
+    """The plan of the (keep | rest) cut of ``psi``, from one ``_cut`` lookup.
+    The plan cache compares keys by value, so True or 1 + 0j would share the
+    checked plan of 1: only a key of plain ints skips the check on a hit."""
+    keep = keep if type(keep) is tuple else _items(keep, "kept qubits")
+    if not _PLAIN_INT.issuperset(map(type, keep)):
+        keep = _sites(keep, 0, psi.n_qubits - 1, "kept qubits")
+    return _cut(psi.n_qubits, keep)
 
 
 def _spectrum(gram: np.ndarray) -> np.ndarray:
@@ -113,29 +106,31 @@ def _spectrum(gram: np.ndarray) -> np.ndarray:
     return _umath_linalg.eigvalsh_lo(gram, signature="D->d")
 
 
-def _partition_matrix(psi: PureState, keep: tuple) -> np.ndarray:
-    """Reshape the amplitudes into the cut matrix A of ``_cut``: rows on the
-    smaller side of the (keep | rest) cut, columns on the larger. A view
-    whenever the axis order allows one."""
-    plan = _cut(psi.n_qubits, keep)
-    return psi.amplitudes.reshape(plan.split).transpose(plan.perm).reshape(plan.shape)
-
-
-def _blocked_gram(psi: PureState, keep: tuple) -> np.ndarray:
-    """Lower triangle of A A^H of the cut matrix, summed over its column
-    blocks. Each block is a slice of the amplitude tensor, reshaped (copied if
-    need be) only after slicing, and its product is added in row panels of at
-    most ``_GRAM_BLOCK_BYTES``, so no temporary is larger than one block. A
-    panel multiplies only against the columns up to its last row: above the
-    diagonal panels the Gram stays zero, since ``_spectrum`` and the 2 x 2
-    spectrum of ``subsystem_entropy`` read only the lower triangle."""
-    plan = _cut(psi.n_qubits, keep)
-    tensor = psi.amplitudes.reshape(plan.split).transpose(plan.perm)
-    d = plan.block_shape[0]
+def _gram(psi: PureState, plan: _CutPlan) -> np.ndarray:
+    """A A^H of the cut matrix A of ``plan``; the only function that reads
+    ``_GRAM_BLOCK_BYTES``. A state of at most that many bytes takes one
+    product of A, a view of the amplitudes whenever the axis order allows.
+    A larger state fills only the lower triangle, summed over column blocks
+    that each fix the larger side's most significant axes until a block
+    holds at most the budget: each block is a slice of the amplitude tensor,
+    reshaped (copied if need be) only after slicing, and its product is
+    added in row panels of at most the budget, so no temporary is larger
+    than one block. A panel multiplies only against the columns up to its
+    last row: above the diagonal panels the Gram stays zero, since
+    ``_spectrum`` and the 2 x 2 spectrum of ``subsystem_entropy`` read only
+    the lower triangle."""
+    tensor = psi.amplitudes.reshape((2,) * psi.n_qubits).transpose(plan.perm)
+    if psi.amplitudes.nbytes <= _GRAM_BLOCK_BYTES:
+        m = tensor.reshape(plan.shape)
+        return m @ m.conj().T
+    d, cols = plan.shape
+    fixed = 0
+    while (1 << fixed) < cols and psi.amplitudes.nbytes >> fixed > _GRAM_BLOCK_BYTES:
+        fixed += 1
     panel = max(1, _GRAM_BLOCK_BYTES // (16 * d))
     gram = np.zeros((d, d), dtype=complex)
-    for index in plan.blocks:
-        a = tensor[index].reshape(plan.block_shape)
+    for bits in product((0, 1), repeat=fixed):
+        a = tensor[(slice(None),) * (d.bit_length() - 1) + bits].reshape(d, cols >> fixed)
         a_h = a.conj().T
         for row in range(0, d, panel):
             end = min(row + panel, d)
@@ -146,9 +141,9 @@ def _blocked_gram(psi: PureState, keep: tuple) -> np.ndarray:
 def reduced_density(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
     """Partial trace of |psi><psi| / ||psi||^2 over every qubit not listed in
     ``keep``, so a state at the edge of its own norm check has unit trace."""
-    keep = _sites(keep, 0, psi.n_qubits - 1, "kept qubits")
-    m = _partition_matrix(psi, keep)
-    if not _cut(psi.n_qubits, keep).on_keep:
+    plan = _plan(psi, keep)
+    m = psi.amplitudes.reshape((2,) * psi.n_qubits).transpose(plan.perm).reshape(plan.shape)
+    if not plan.on_keep:
         m = m.T  # rows back on the kept qubits
     return DensityMatrix(m @ m.conj().T / psi.norm_sq)
 
@@ -196,22 +191,15 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
     The spectrum must lie in [0, ||psi||^2] (``PureState.norm_sq``) within
     ``_EIG_TOL``, so a state at the edge of its own norm check passes.
 
-    A state larger than ``_GRAM_BLOCK_BYTES`` has the lower triangle of its
-    Gram summed block by block, so the cut never copies the whole state.
+    The Gram comes from ``_gram``, which alone reads ``_GRAM_BLOCK_BYTES``:
+    a larger state has its lower triangle summed block by block, so the cut
+    never copies the whole state.
     """
-    keep = keep if type(keep) is tuple else _items(keep, "kept qubits")  # the plan's cache key
-    # The plan cache compares keys by value, so True or 1 + 0j would share the
-    # checked plan of 1: only a key of plain ints skips the check on a hit.
-    if not _PLAIN_INT.issuperset(map(type, keep)):
-        keep = _sites(keep, 0, psi.n_qubits - 1, "kept qubits")
-    d = _cut(psi.n_qubits, keep).shape[0]
+    plan = _plan(psi, keep)
+    d = plan.shape[0]
     if d == 1:
         return 0.0
-    if psi.amplitudes.nbytes > _GRAM_BLOCK_BYTES:
-        gram = _blocked_gram(psi, keep)
-    else:
-        m = _partition_matrix(psi, keep)
-        gram = m @ m.conj().T
+    gram = _gram(psi, plan)
     if d > 2:
         return _entropy_from_eigenvalues(_spectrum(gram).tolist(), psi.norm_sq)
     (a, _), (b, c) = gram.tolist()

@@ -582,10 +582,8 @@ class TestRuntimeErrors:
 
     def test_numerical_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # an unnormalized cut gives a reduced spectrum above 1: the range check fails
-        partition = information._partition_matrix
-        monkeypatch.setattr(
-            information, "_partition_matrix", lambda psi, keep: 2.0 * partition(psi, keep)
-        )
+        gram = information._gram  # the Gram of amplitudes doubled
+        monkeypatch.setattr(information, "_gram", lambda psi, plan: 4.0 * gram(psi, plan))
         out = str(tmp_path / "codi.csv")
         code = main(["fig3", "--model", "CODI", "--realizations", "1", "--n-env", "3", "--out", out])
         assert code == 1

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -67,8 +68,8 @@ class TestReducedDensity:
         # a state of unit norm keeps the bits of its reduction
         pair = q.PureState(2, [0.6, 0.0, 0.0, 0.8j])
         assert pair.norm_sq == 1.0
-        m = information._partition_matrix(pair, (0,))  # rows on the kept qubit
-        assert np.array_equal(q.reduced_density(pair, (0,)).matrix, m @ m.conj().T)
+        gram = information._gram(pair, _cut(2, (0,)))  # rows on the kept qubit
+        assert np.array_equal(q.reduced_density(pair, (0,)).matrix, gram)
 
 
 class TestCutPlan:
@@ -103,22 +104,45 @@ class TestCutPlan:
             assert q.subsystem_entropy(psi, keep) == first
         assert _cut.cache_info().currsize == 1
 
+    def test_one_plan_lookup_per_call(self, monkeypatch):
+        psi = random_state(6, 6)
+        cut, lookups = _cut, []
+        monkeypatch.setattr(
+            information, "_cut", lambda n, keep: lookups.append(keep) or cut(n, keep)
+        )
+        for func in (q.subsystem_entropy, q.reduced_density):
+            for keep in ((), (0,), (0, 2, 3), [1, 4], np.array([5, 0, 2]), (1, 2, 3, 4, 5)):
+                cut.cache_clear()
+                for hits in (0, 1):  # a miss, then a hit
+                    lookups.clear()
+                    func(psi, keep)
+                    assert len(lookups) == 1, (func.__name__, keep)
+                    assert cut.cache_info()[:2] == (hits, 1), (func.__name__, keep)
+
 
 @pytest.fixture
 def gram_block_bytes(monkeypatch):
-    """Set the Gram block budget; cut plans made under it are dropped after."""
+    """Set the Gram block budget for the rest of the test."""
+    return lambda nbytes: monkeypatch.setattr(information, "_GRAM_BLOCK_BYTES", nbytes)
 
-    def set_budget(nbytes):
-        monkeypatch.setattr(information, "_GRAM_BLOCK_BYTES", nbytes)
-        _cut.cache_clear()
 
-    yield set_budget
-    monkeypatch.undo()
-    _cut.cache_clear()
+@pytest.fixture
+def gram_blocks(monkeypatch):
+    """The number of column blocks of each blocked Gram, recorded as ``_gram``
+    draws the blocks' indices from ``itertools.product``."""
+    counts = []
+
+    def counted(*args, **kwargs):
+        indices = list(product(*args, **kwargs))
+        counts.append(len(indices))
+        return indices
+
+    monkeypatch.setattr(information, "product", counted)
+    return counts
 
 
 class TestBlockedGram:
-    def test_matches_literal_route_on_a_multi_block_state(self):
+    def test_matches_literal_route_on_a_multi_block_state(self, gram_blocks):
         psi = random_state(17, 17)  # 2 MiB: more than one 1 MiB block
         keeps = {
             "prefix": (1, 2, 3, 4),
@@ -127,45 +151,49 @@ class TestBlockedGram:
             "larger than half": (0, 1, 3, 5, 7, 9, 11, 13, 15),
         }
         for label, keep in keeps.items():
-            plan = _cut(17, keep)
-            assert len(plan.blocks) >= 2, label
-            assert plan.on_keep == (len(keep) <= 8), label
+            assert _cut(17, keep).on_keep == (len(keep) <= 8), label
             literal = q.von_neumann_entropy(q.reduced_density(psi, keep))
             assert abs(q.subsystem_entropy(psi, keep) - literal) < 1e-10, label
+            assert gram_blocks.pop() >= 2 and not gram_blocks, label
 
-    def test_many_blocks_agree_with_one(self, gram_block_bytes):
+    def test_many_blocks_agree_with_one(self, gram_block_bytes, gram_blocks):
         psi = random_state(9, 8)  # N = 8: 8 KiB, one block by default
         keeps = [(), (0,), (3,), (1, 2, 3), (0, 1, 2, 3), (2, 5, 7, 8), (0, 2, 5, 7, 8),
                  tuple(range(1, 9)), tuple(range(9))]
         one = [q.subsystem_entropy(psi, keep) for keep in keeps]
-        assert all(len(_cut(9, keep).blocks) == 1 for keep in keeps)
+        assert gram_blocks == []  # one product each, no blocks
         gram_block_bytes(256)  # 16 amplitudes per block
         many = [q.subsystem_entropy(psi, keep) for keep in keeps]
-        assert all(len(_cut(9, keep).blocks) >= 16 for keep in keeps)
+        # every cut but the two trivial ones (d = 1) takes a Gram
+        assert len(gram_blocks) == len(keeps) - 2 and min(gram_blocks) >= 16
         np.testing.assert_allclose(many, one, rtol=0, atol=1e-12)
 
-    def test_fills_the_lower_triangle_of_the_full_gram(self, gram_block_bytes):
+    def test_fills_the_lower_triangle_of_the_full_gram(self, gram_block_bytes, gram_blocks):
         psi = random_state(12, 12)
         gram_block_bytes(16 << 10)  # 4 blocks, and row panels of 16 rows at d = 64
         for keep in ((1, 2, 3, 4, 5, 6), (0, 3, 5, 7, 9, 11), (0, 1, 2, 9, 10, 11)):
             plan = _cut(12, keep)
-            d = plan.block_shape[0]
-            assert len(plan.blocks) == 4 and d == 64
-            tensor = psi.amplitudes.reshape(plan.split).transpose(plan.perm)
+            d = plan.shape[0]
+            assert d == 64
+            # each block fixes the larger side's two leading axes, in index order
+            tensor = psi.amplitudes.reshape((2,) * 12).transpose(plan.perm)
             full = np.zeros((d, d), dtype=complex)
-            for index in plan.blocks:
-                a = tensor[index].reshape(plan.block_shape)
+            for bits in product((0, 1), repeat=2):
+                a = tensor[(slice(None),) * 6 + bits].reshape(d, 16)
                 full += a @ a.conj().T
-            gram = information._blocked_gram(psi, keep)
+            gram = information._gram(psi, plan)
+            assert gram_blocks.pop() == 4
             np.testing.assert_array_equal(np.tril(gram), np.tril(full))
 
-    def test_plan_holds_side_and_blocks(self):
-        plan = _cut(19, (0, 1, 2))  # an 8 MiB register
+    def test_plan_holds_side_and_blocks(self, gram_blocks):
+        psi = random_state(19, 19)  # an 8 MiB register
+        plan = _cut(19, (0, 1, 2))
         assert plan.on_keep and plan.shape == (8, 1 << 16)
-        assert len(plan.blocks) == 8 and plan.block_shape == (8, 1 << 13)
+        assert information._gram(psi, plan).shape == (8, 8)
         plan = _cut(19, tuple(range(12)))
         assert not plan.on_keep and plan.shape == (1 << 7, 1 << 12)
-        assert len(plan.blocks) == 8 and plan.block_shape == (1 << 7, 1 << 9)
+        assert information._gram(psi, plan).shape == (1 << 7, 1 << 7)
+        assert gram_blocks == [8, 8]  # of 1 MiB: (8, 2^13), then (2^7, 2^9)
 
 
 def small_cuts(n):
@@ -255,11 +283,10 @@ class TestSmallCuts:
             expected = q.subsystem_entropy(mixed, keep)
             assert abs(q.subsystem_entropy(mixed_edge, keep) - expected) < 1e-8
         # a spectrum beyond the state's own ||psi||^2 + 1e-9 still raises
-        partition = information._partition_matrix
+        # (amplitudes scaled by 1 + 2e-9)
+        gram = information._gram
         monkeypatch.setattr(
-            information,
-            "_partition_matrix",
-            lambda psi, keep: (1.0 + 2e-9) * partition(psi, keep),
+            information, "_gram", lambda psi, plan: (1.0 + 2e-9) ** 2 * gram(psi, plan)
         )
         for keep in cuts:
             with pytest.raises(NumericalError, match="beyond tolerance"):
@@ -267,10 +294,8 @@ class TestSmallCuts:
 
     def test_doubled_partition_is_out_of_range(self, monkeypatch):
         psi = random_state(5, 5)
-        partition = information._partition_matrix
-        monkeypatch.setattr(
-            information, "_partition_matrix", lambda psi, keep: 2.0 * partition(psi, keep)
-        )
+        gram = information._gram  # the Gram of amplitudes doubled
+        monkeypatch.setattr(information, "_gram", lambda psi, plan: 4.0 * gram(psi, plan))
         for keep in ((0,), (0, 1)):  # d = 2, then d = 4
             with pytest.raises(NumericalError, match="beyond tolerance"):
                 q.subsystem_entropy(psi, keep)
@@ -290,8 +315,8 @@ class TestSpectrum:
     def test_numpy_still_ships_the_private_gufunc(self):
         # ``_spectrum`` wraps ``numpy.linalg._umath_linalg.eigvalsh_lo``, a
         # private name: a numpy that renames it fails here by name
-        m = information._partition_matrix(random_state(4, 4), (0, 1))
-        assert information._spectrum(m @ m.conj().T).shape == (4,)
+        gram = information._gram(random_state(4, 4), _cut(4, (0, 1)))
+        assert information._spectrum(gram).shape == (4,)
 
     @pytest.mark.parametrize("d", [4, 16, 256])
     def test_is_eigvalsh_bit_for_bit(self, d):
@@ -320,11 +345,7 @@ class TestSpectrum:
             d = _cut(n, keep).shape[0]
             if d < 4:
                 continue
-            if psi.amplitudes.nbytes > information._GRAM_BLOCK_BYTES:
-                gram = information._blocked_gram(psi, keep)
-            else:
-                m = information._partition_matrix(psi, keep)
-                gram = m @ m.conj().T
+            gram = information._gram(psi, _cut(n, keep))
             expected = information._entropy_from_eigenvalues(
                 np.linalg.eigvalsh(gram).tolist(), psi.norm_sq
             )

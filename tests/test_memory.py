@@ -67,6 +67,21 @@ def test_entropy_allocates_gram_and_bounded_blocks(psi, keep):
     assert peak_bytes(q.subsystem_entropy, psi, keep) <= 16 * d * d + 3 * block + SLACK
 
 
+def test_a_new_gram_budget_holds_for_a_cached_plan(psi, monkeypatch):
+    """The cut plan is geometry only, so a budget set after the plan is cached
+    sizes the Gram blocks of the next call."""
+    keep = tuple(range(1, 9))  # d = 256: a 1 MiB Gram
+    d = information._cut(N_QUBITS, keep).shape[0]
+    blocked = q.subsystem_entropy(psi, keep)  # caches the plan
+    monkeypatch.setattr(information, "_GRAM_BLOCK_BYTES", STATE_BYTES)
+    unblocked = q.subsystem_entropy(psi, keep)
+    block = 512 << 10  # half the default: panels of 128 rows
+    monkeypatch.setattr(information, "_GRAM_BLOCK_BYTES", block)
+    assert peak_bytes(q.subsystem_entropy, psi, keep) <= 16 * d * d + 3 * block + SLACK
+    assert abs(q.subsystem_entropy(psi, keep) - unblocked) < 1e-12
+    assert abs(blocked - unblocked) < 1e-12
+
+
 def test_product_state_is_built_in_its_own_buffer():
     """The amplitudes are written in place in the one 2^n buffer: besides it,
     one chunk of rows and the two iterator buffers numpy's ufunc keeps for the
