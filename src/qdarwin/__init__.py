@@ -4,10 +4,8 @@ redundantly recorded in a qubit environment."""
 __version__ = "0.1.0"
 
 from .analytics import (
-    AveragedGammaCurve,
     asymptotic_holevo,
     asymptotic_mutual_info,
-    averaged_gamma_curve,
     averaged_gamma_squared,
     binary_entropy,
     characteristic_function,

@@ -10,7 +10,6 @@ are exact derivatives of the base-2 entropies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,28 +78,6 @@ def gamma_squared_floor(alpha_sq) -> float:
     """Long-time value of the averaged squared decoherence factor for one site."""
     a2 = _check_unit_interval("alpha_sq", alpha_sq)
     return a2 * a2 + (1.0 - a2) * (1.0 - a2)
-
-
-@dataclass(frozen=True)
-class AveragedGammaCurve:
-    """Averaged squared decoherence factor sampled on a time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = _number_array(self.times, "times")
-        values = _number_array(self.values, "values")
-        if times.shape != values.shape or times.ndim != 1:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-
-def averaged_gamma_curve(dist, alpha_sq, times) -> AveragedGammaCurve:
-    """Evaluate the averaged squared decoherence factor on a 1-d time grid."""
-    times = _number_array(times, "times")
-    return AveragedGammaCurve(times=times, values=averaged_gamma_squared(dist, alpha_sq, times))
 
 
 def weak_decoherence_slope(alpha0_sq) -> float:

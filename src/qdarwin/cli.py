@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import averaged_gamma_curve
+from .analytics import averaged_gamma_squared
 from .experiments import ExperimentConfig, SweepResult, reproduce_fig2, reproduce_fig3, run_sweep
 from .information import NumericalError
 from .model import _LAWS, ModelSpec, _positive_integer, build_model, classify, sample_instance
@@ -299,9 +299,8 @@ def _cmd_gamma(args) -> None:
     if not 0 <= args.tmax < math.inf:
         raise ValueError(f"tmax must be finite and >= 0, got {args.tmax}")
     times = np.linspace(0.0, args.tmax, steps)
-    curve = averaged_gamma_curve(dist, args.alpha2, times)
     lines = ["time,avg_gamma_sq"]
-    for t, v in zip(curve.times, curve.values):
+    for t, v in zip(times, averaged_gamma_squared(dist, args.alpha2, times)):
         lines.append(f"{_fmt(t)},{_fmt(v)}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -634,7 +634,7 @@ def _flip_diagonals(instance: ModelInstance) -> dict:
     """
     dim = 1 << instance.n_qubits
     if dim > _ENGINE_MAX_ENTRIES:
-        raise ValueError(f"{dim} amplitudes exceed the engine cap of {_ENGINE_MAX_ENTRIES}")
+        raise ValueError(f"n_env: {dim} amplitudes exceed the engine cap of {_ENGINE_MAX_ENTRIES}")
     energies = np.zeros(dim)
     local = np.empty(dim >> 1)
     for k in range(instance.n_qubits):
@@ -696,7 +696,9 @@ def hamiltonian_matrix(instance: ModelInstance, blocked: bool = False) -> np.nda
     s = 1 << len(sites)
     k = (1 << n) // s
     if k * s * s > _ENGINE_MAX_ENTRIES:
-        raise ValueError(f"{k * s * s} entries of H exceed the engine cap of {_ENGINE_MAX_ENTRIES}")
+        raise ValueError(
+            f"n_env: {k * s * s} entries of H exceed the engine cap of {_ENGINE_MAX_ENTRIES}"
+        )
     axes, cols = _block_axes(n, flipped), np.arange(s)
     h = np.zeros((k, s, s), dtype=complex)
     for flip, diagonal in _flip_diagonals(instance).items():

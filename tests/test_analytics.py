@@ -99,8 +99,6 @@ class TestAveragedGamma:
         for bad in ("1.5", True, ["0", "1"], [0.0, True], float("inf")):
             with pytest.raises(ValueError, match="t: expected finite real"):
                 q.averaged_gamma_squared(UNIFORM, 0.5, bad)
-            with pytest.raises(ValueError, match="times: expected finite real"):
-                q.averaged_gamma_curve(UNIFORM, 0.5, bad)
             with pytest.raises(ValueError, match="k: expected finite real"):
                 q.characteristic_function(UNIFORM, bad)
         for bad in ("0.5", True, [0.5, True], np.array([True])):
@@ -112,28 +110,12 @@ class TestAveragedGamma:
             with pytest.raises(TypeError, match="not a coupling distribution"):
                 q.characteristic_function(not_a_law, 1.0)
 
-    def test_curve_entries_are_numbers(self):
-        for key, times, values in (("times", ["0", "1"], [1.0, 0.5]),
-                                   ("values", [0.0, 1.0], ["1", True]),
-                                   ("values", [0.0, 1.0], [1.0, float("nan")])):
-            with pytest.raises(ValueError, match=f"{key}: expected finite real"):
-                q.AveragedGammaCurve(times, values)
-        for times, values in (([0.0, 1.0], [1.0]), (0.0, 1.0), ([[0.0]], [[1.0]])):
-            with pytest.raises(ValueError, match="1-d arrays of equal length"):
-                q.AveragedGammaCurve(times, values)
-        curve = q.AveragedGammaCurve([0, 1], [np.float32(1.0), 0.5])
-        assert curve.values.dtype == float and curve.values.tolist() == [1.0, 0.5]
-
     def test_curve_factory(self):
-        curve = q.averaged_gamma_curve(UNIFORM, 0.5, np.linspace(0, 5, 11))
-        assert curve.values[0] == pytest.approx(1.0)
-        assert curve.times.shape == curve.values.shape
-
-    def test_curve_takes_a_1d_time_grid(self):
-        # a scalar or a 2-d grid fails the curve's own shape check
-        for times in (0.0, [[0.0, 1.0]]):
-            with pytest.raises(ValueError, match="1-d arrays of equal length"):
-                q.averaged_gamma_curve(UNIFORM, 0.5, times)
+        # on a 1-d time grid the average is the curve: one value per time
+        times = np.linspace(0, 5, 11)
+        values = q.averaged_gamma_squared(UNIFORM, 0.5, times)
+        assert values[0] == pytest.approx(1.0)
+        assert values.shape == times.shape
 
 
 class TestSiteFloor:

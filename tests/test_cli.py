@@ -245,6 +245,16 @@ class TestGammaCommand:
         times = [float(l.split(",")[0]) for l in lines[1:]]
         np.testing.assert_allclose(times, [0.0, 0.8, 1.6, 2.4, 3.2])
 
+    @pytest.mark.parametrize("steps", [1, 2, 7, 40])
+    def test_rows_are_the_grid_and_its_average(self, capsys, steps):
+        argv = ["gamma", "--dist", "discrete:-1,-0.5,0.5,1", "--alpha2", "0.3",
+                "--tmax", "4.5", "--steps", str(steps)]
+        assert main(argv) == 0
+        times = np.linspace(0.0, 4.5, steps)
+        values = q.averaged_gamma_squared(q.DiscreteUniform((-1.0, -0.5, 0.5, 1.0)), 0.3, times)
+        rows = [f"{cli._fmt(t)},{cli._fmt(v)}" for t, v in zip(times, values)]
+        assert capsys.readouterr().out.splitlines() == ["time,avg_gamma_sq"] + rows
+
     def test_const_dist(self, capsys):
         code = main(["gamma", "--dist", "const:0.5", "--alpha2", "0.3", "--tmax", "0", "--steps", "1"])
         assert code == 0
@@ -537,6 +547,20 @@ class TestUsageErrors:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", ["fig3", "sweep"])
+    def test_a_register_past_the_engine_cap_names_n_env(self, tmp_path, capsys, command):
+        # CODI's blocks of H at N = 30 and CPDI-S's state at N = 40 pass the cap
+        out = tmp_path / "out.csv"
+        if command == "fig3":
+            argv = ["fig3", "--model", "CODI", "--n-env", "30"]
+        else:
+            config = write_sweep_config(tmp_path, model="CPDI_S", n_env=40, realizations=1)
+            argv = ["sweep", "--config", config]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_env: ") and "engine cap" in err
+        assert not out.exists()
 
 
 class TestSharedSurface:

@@ -4,11 +4,11 @@ visible change to this list."""
 import qdarwin as q
 
 PUBLIC_NAMES = [
-    "AveragedGammaCurve", "BranchingState", "Classification", "ContinuousUniform",
+    "BranchingState", "Classification", "ContinuousUniform",
     "DensePropagator", "DensityMatrix", "DiagonalPropagator", "DiscreteUniform",
     "ExperimentConfig", "MODEL_KINDS", "ModelInstance", "ModelSpec", "PointMass",
     "ProductCoeffs", "PureState", "SweepResult", "Vec3", "align_global_phase",
-    "analytics", "asymptotic_holevo", "asymptotic_mutual_info", "averaged_gamma_curve",
+    "analytics", "asymptotic_holevo", "asymptotic_mutual_info",
     "averaged_gamma_squared", "binary_entropy", "branching_to_dense", "build_model",
     "characteristic_function", "classify", "dense_product_state", "dynamics",
     "evolve_branching", "evolve_dense", "evolve_diagonal", "experiments",
