@@ -212,9 +212,9 @@ def _parse_dist(spec: str):
     """Mini-grammar: uniform:<a> | discrete:v1,v2,... | const:<v>."""
     kind, sep, rest = spec.partition(":")
     if not sep:
-        raise ValueError(f"malformed distribution spec {spec!r}")
+        raise ValueError(f"--dist: malformed distribution spec {spec!r}")
     if kind not in _LAWS:
-        raise ValueError(f"unknown law type {kind!r}; allowed: {sorted(_LAWS)}")
+        raise ValueError(f"--dist: unknown law type {kind!r}; allowed: {sorted(_LAWS)}")
     law_type, key = _LAWS[kind]
     values = _number_list(rest, key)
     if kind == "discrete":

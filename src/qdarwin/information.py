@@ -16,7 +16,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .analytics import binary_entropy
-from .dynamics import BranchingState, PureState, _site_overlaps
+from .dynamics import BranchingState, PureState, _ProductState, _site_overlaps
 from .model import _integer, _items, _number_array, _sites
 
 _EIG_TOL = 1e-9
@@ -177,9 +177,9 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
     to the entropy of the literal reduced density matrix. Each cut does only
     the work its d needs:
 
-    - d = 1 (keep nothing, or every qubit): 0.0, since the reduction of a
-      pure state onto nothing or everything is pure (``PureState`` has
-      checked the norm); no pass over the state.
+    - d = 1 (keep nothing, or every qubit), or a product state from
+      ``dense_product_state``: 0.0, since such a reduction of a pure state
+      is pure (``PureState`` has checked the norm); no pass over the state.
     - d = 2 (one qubit on the smaller side): the 2 x 2 Gram, whose spectrum
       mid -+ hypot((a - c) / 2, |b|), mid = (a + c) / 2, is taken in floats
       from its diagonal a, c and lower off-diagonal entry b.
@@ -195,9 +195,9 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
     a larger state has its lower triangle summed block by block, so the cut
     never copies the whole state.
     """
-    plan = _plan(psi, keep)
+    plan = _plan(psi, keep)  # checks the keep, whatever the state
     d = plan.shape[0]
-    if d == 1:
+    if d == 1 or type(psi) is _ProductState:
         return 0.0
     gram = _gram(psi, plan)
     if d > 2:

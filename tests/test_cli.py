@@ -260,8 +260,15 @@ class TestGammaCommand:
         assert code == 0
 
     def test_bad_dist_is_usage_error(self, capsys):
-        assert main(["gamma", "--dist", "gauss:1", "--alpha2", "0.5", "--tmax", "1", "--steps", "2"]) == 2
-        assert main(["gamma", "--dist", "uniform", "--alpha2", "0.5", "--tmax", "1", "--steps", "2"]) == 2
+        # an unknown law and a spec with no colon name the flag first
+        for dist, message in (
+            ("gauss:1", "error: --dist: unknown law type 'gauss'; allowed: "
+                        "['const', 'discrete', 'uniform']\n"),
+            ("uniform", "error: --dist: malformed distribution spec 'uniform'\n"),
+        ):
+            argv = ["gamma", "--dist", dist, "--alpha2", "0.5", "--tmax", "1", "--steps", "2"]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == message
         # NaN fails every range check
         for dist, alpha2, tmax, key in (
             ("uniform:nan", "0.5", "1", "half_width"), ("discrete:1,nan", "0.5", "1", "support"),
@@ -315,6 +322,30 @@ class TestSweepCommand:
         svg_text = svg.read_text()
         assert svg_text.startswith("<svg")
         assert "fragment size" in svg_text
+
+    @pytest.mark.parametrize("model", ["CODI", "CPDI_S"])
+    def test_a_leading_zero_time_writes_exact_zero_rows(self, tmp_path, model):
+        """At t = 0 a state engine's sweep holds the initial product state,
+        with no evolve and no spectrum: its I, S and ratio cells read exactly
+        0, and every later row has the bytes of the same sweep without t = 0."""
+        sizes = [0, 1, 2, 3, 5]
+        lines = []
+        for grid in ([0.0, 0.5, 1.0, 3.0], [0.5, 1.0, 3.0]):
+            config = write_sweep_config(
+                tmp_path, model=model, n_env=5, time_grid=grid, fragment_sizes=sizes,
+                realizations=3,
+            )
+            out = tmp_path / f"{len(grid)}-times.csv"
+            assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+            lines.append(out.read_text().splitlines())
+        with_zero, without = lines
+        assert with_zero[0] == without[0] == CSV_HEADER
+        assert with_zero[1 + len(sizes):] == without[1:]
+        header = CSV_HEADER.split(",")
+        for line in with_zero[1 : 1 + len(sizes)]:
+            cells = dict(zip(header, line.split(",")))
+            assert cells["time"] == "0"
+            assert [cells[k] for k in ("I_mean", "I_stderr", "S_mean", "ratio_mean")] == ["0"] * 4
 
     @pytest.mark.parametrize(
         "model, engine", [("CPDI", "branching"), ("CODI", "dense"), ("CPDI_S", "diagonal")]

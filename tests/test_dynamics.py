@@ -298,7 +298,7 @@ class TestDenseEngine:
         """Reference: M (c * exp(-iEt)) with c = M^H v from a held conjugate
         copy of the modes, each block product by einsum. The engine applies
         M^H as conj(M^T conj(v)) and writes the reference's bytes at every
-        block size."""
+        block size; at t = 0 it returns the state itself."""
         rng = np.random.default_rng(24)
         instance = {
             "CODI": lambda: q.sample_instance(q.build_model("CODI", 8), rng),
@@ -313,7 +313,8 @@ class TestDenseEngine:
         psi0 = q.dense_product_state(q.random_product_state(prop.n_qubits, rng))
         v = psi0.amplitudes.reshape(tensor).transpose(prop._axes).reshape(energies.shape)
         coeffs = np.einsum("kij,kj->ki", modes.conj().transpose(0, 2, 1), v)
-        for t in (0.0, 0.3, 1.0, 25.0):
+        assert prop.evolve(psi0, 0.0) is psi0
+        for t in (0.3, 1.0, 25.0):
             blocks = np.einsum("kij,kj->ki", modes, coeffs * np.exp(-1j * energies * t))
             expected = blocks.reshape(tensor).transpose(np.argsort(prop._axes)).ravel()
             assert np.array_equal(prop.evolve(psi0, t).amplitudes, expected)
@@ -614,6 +615,28 @@ class TestEngineProperties:
             rho = q.reduced_density(prop.evolve(psi0, t), [0]).matrix
             purity = np.trace(rho @ rho).real
             assert purity >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("case", ["CODI", "generic", "CPDI_S"])
+    def test_zero_time_returns_the_state_itself(self, case):
+        """exp(-iH 0) = 1: ``evolve`` hands back its input, of any type, once
+        the size and the time have passed their checks."""
+        rng = np.random.default_rng(12)
+        if case == "generic":
+            prop = q.DensePropagator(random_generic_instance(rng, 4))
+        else:
+            inst = q.sample_instance(q.build_model(case, 5), rng)
+            prop = (q.DiagonalPropagator if case == "CPDI_S" else q.DensePropagator)(inst)
+        psi0 = q.dense_product_state(q.random_product_state(prop.n_qubits, rng))
+        psi = prop.evolve(psi0, 0.7)
+        for state in (psi0, psi):
+            for zero in (0.0, -0.0, 0, np.float64(0.0)):
+                assert prop.evolve(state, zero) is state
+        for bad in (False, np.nan, "0"):
+            with pytest.raises(ValueError, match="t: expected a finite real"):
+                prop.evolve(psi0, bad)
+        other = q.dense_product_state(q.random_product_state(prop.n_qubits - 1, rng))
+        with pytest.raises(ValueError, match="size does not match"):
+            prop.evolve(other, 0.0)
 
     @pytest.mark.parametrize("case", ["CODI", "generic", "CPDI_S"])
     def test_many_steps_match_one_evolve(self, case):

@@ -230,7 +230,9 @@ class TestSmallCuts:
     def states():
         for n in range(1, 10):
             yield random_state(n, 100 + n)
-            yield q.dense_product_state(q.random_product_state(n, 200 + n))
+            # a plain PureState of a product state, so its cuts take a spectrum
+            product = q.dense_product_state(q.random_product_state(n, 200 + n))
+            yield q.PureState(n, product.amplitudes)
         yield random_state(17, 17)  # 2 MiB: the blocked Gram
 
     def test_match_the_literal_route_without_eigvalsh(self, refuse_eigvalsh):
@@ -306,6 +308,41 @@ def random_hermitian(d, seed, stack=()):
     shape = (*stack, d, d)
     a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return a + np.swapaxes(a, -1, -2).conj()
+
+
+class TestProductState:
+    """A state from ``dense_product_state`` is a product of one-qubit kets:
+    every cut of it is exactly 0 with no Gram taken, and its keeps are
+    checked as any state's."""
+
+    @settings(max_examples=60)
+    @given(data=st.data(), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    def test_every_cut_is_exactly_zero(self, data, n, seed):
+        size = data.draw(st.integers(0, n), label="kept count")
+        keep = data.draw(st.permutations(range(n)), label="order")[:size]
+        psi = q.dense_product_state(q.random_product_state(n, seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(information, "_gram", lambda psi, plan: pytest.fail("Gram taken"))
+            assert q.subsystem_entropy(psi, keep) == 0.0
+        # the spectrum of the same amplitudes is 0 up to rounding
+        assert abs(q.subsystem_entropy(q.PureState(n, psi.amplitudes), keep)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [[True], (0, False), [1, 1], (2, 0, 2), [4], [-1], (0, 1.5)])
+    def test_bad_keeps_still_raise(self, bad):
+        psi = q.dense_product_state(q.random_product_state(4, 0))
+        for _ in range(2):  # a miss, then with the valid cut below cached
+            with pytest.raises(ValueError, match="kept qubits"):
+                q.subsystem_entropy(psi, bad)
+            assert q.subsystem_entropy(psi, [0, 1]) == 0.0
+
+    def test_evolved_and_rebuilt_states_take_the_spectrum(self):
+        # only the builder's own state is known to be a product: an evolved
+        # state, or its amplitudes in a new PureState, is a plain PureState
+        inst = q.sample_instance(q.build_model("CPDI_S", 4), 2)
+        psi0 = q.dense_product_state(q.random_product_state(5, 2))
+        psi = q.DiagonalPropagator(inst).evolve(psi0, 1.0)
+        assert type(psi) is type(q.PureState(5, psi0.amplitudes)) is q.PureState
+        assert q.subsystem_entropy(psi, [0]) > 0.01
 
 
 class TestSpectrum:
