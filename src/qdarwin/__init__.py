@@ -27,6 +27,7 @@ from .dynamics import (
     evolve_branching,
     evolve_dense,
     evolve_diagonal,
+    hamiltonian_matrix,
     random_product_state,
 )
 from .experiments import (
@@ -58,7 +59,6 @@ from .model import (
     Vec3,
     build_model,
     classify,
-    hamiltonian_matrix,
     sample_instance,
     MODEL_KINDS,
 )

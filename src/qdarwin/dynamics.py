@@ -19,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    ModelInstance, _as_rng, _block_axes, _flip_diagonals, _integer, _number_array,
-    _positive_integer, _real, _sites, hamiltonian_matrix,
-)
+from .model import ModelInstance, _as_rng, _integer, _number_array, _positive_integer, _real, _sites
+
+# engine cap: no engine array above 2^26 complex entries (1 GiB), so a
+# 26-qubit state and 4^13 entries of H's blocks (the 13-qubit matrix)
+_ENGINE_MAX_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -246,6 +247,95 @@ def align_global_phase(state: PureState, reference: PureState) -> PureState:
     return PureState(state.n_qubits, state.amplitudes * factor)
 
 
+def _flip_diagonals(instance: ModelInstance) -> dict:
+    """H as {flip mask f: diagonal D_f} with H = sum_f D_f X^f, that is
+    H[b ^ f, b] = D_f[b].
+
+    D_0, the real z-diagonal, is bit-doubled in O(2^n): when qubit k joins,
+    the energies of the 2^k states below it gain s_k * (h_k + sum_{i<k} J_ik s_i),
+    a local field bit-doubled from its own lower half. A term with an x or y
+    factor is a signed permutation (sigma_x flips a bit, sigma_y flips with
+    phase +-i, sigma_z applies +-1) and adds its phase into D_f. The phase is
+    formed in place in one array, with no basis index array: a y factor
+    multiplies it by i, and a y or z factor on qubit k negates its half whose
+    bit k is set, both exact. It is added into D_f in place, or becomes a new
+    D_f as 0 + phase, which turns the -0s of a negation into the +0s of a sum.
+    """
+    dim = 1 << instance.n_qubits
+    if dim > _ENGINE_MAX_ENTRIES:
+        raise ValueError(f"n_env: {dim} amplitudes exceed the engine cap of {_ENGINE_MAX_ENTRIES}")
+    energies = np.zeros(dim)
+    local = np.empty(dim >> 1)
+    for k in range(instance.n_qubits):
+        half = 1 << k
+        field = local[:half]
+        field[0] = instance.fields[k, 2]
+        for i in range(k):
+            size = 1 << i
+            coupling = instance.j_tensor[i, k, 2, 2]
+            np.subtract(field[:size], coupling, out=field[size : 2 * size])
+            field[:size] += coupling
+        # s_k = +1 on the lower half (bit k clear), -1 on the upper
+        np.subtract(energies[:half], field, out=energies[half : 2 * half])
+        energies[:half] += field
+    diagonals = {0: energies}
+    terms = [(instance.j_tensor[i, j, a, b], ((i, a), (j, b)))
+             for i, j, a, b in zip(*np.nonzero(instance.j_tensor)) if min(a, b) < 2]
+    terms += [(instance.fields[site, c], ((site, c),))
+              for site, c in zip(*np.nonzero(instance.fields[:, :2]))]
+    for coeff, factors in terms:
+        flip, phase = 0, np.full(dim, coeff, dtype=complex)
+        for site, axis in factors:
+            flip ^= int(axis < 2) << site  # x and y flip the bit
+            if axis == 1:
+                phase *= 1j
+            if axis:  # y and z negate the states with the bit set
+                phase.reshape(-1, 2, 1 << site)[:, 1] *= -1
+        if flip in diagonals:
+            diagonals[flip] += phase
+        else:  # 0 + phase turns a -0 the sign flips leave into +0
+            diagonals[flip] = np.add(0, phase, out=phase)
+    return diagonals
+
+
+def _block_axes(n_qubits: int, flipped: int) -> tuple:
+    """Axis order of the amplitude tensor, ``amplitudes.reshape((2,) * n)``
+    with axis a on qubit n-1-a as in ``information._cut``, that puts the axes
+    of the ``flipped`` qubits last. A (K, s) reshape of the tensor so
+    transposed has one block of H per row: row k holds the states whose
+    never-flipped bits, packed, read k, each at the column its flipped bits,
+    packed, read. Rows and columns both count up with the basis index."""
+    is_flipped = [(flipped >> (n_qubits - 1 - a)) & 1 for a in range(n_qubits)]
+    return tuple(sorted(range(n_qubits), key=is_flipped.__getitem__))
+
+
+def hamiltonian_matrix(instance: ModelInstance, blocked: bool = False) -> np.ndarray:
+    """Dense Hermitian matrix of the instance, or the stack of its blocks.
+
+    ``blocked`` gives the (K, s, s) stack of H's blocks in the layout of
+    ``_block_axes`` over ``flip_mask()``: block k, between the states of row
+    k, scattered from the flip-diagonal form without the full H. A pattern f
+    lies inside the mask, so it maps column c of a row to column c ^ f', f'
+    being f's bits packed onto the flipped qubits. ValueError, before any
+    array of the register's size exists: K * s^2 above the engine cap.
+    """
+    n = instance.n_qubits
+    flipped = instance.flip_mask() if blocked else (1 << n) - 1
+    sites = [q for q in range(n) if (flipped >> q) & 1]
+    s = 1 << len(sites)
+    k = (1 << n) // s
+    if k * s * s > _ENGINE_MAX_ENTRIES:
+        raise ValueError(
+            f"n_env: {k * s * s} entries of H exceed the engine cap of {_ENGINE_MAX_ENTRIES}"
+        )
+    axes, cols = _block_axes(n, flipped), np.arange(s)
+    h = np.zeros((k, s, s), dtype=complex)
+    for flip, diagonal in _flip_diagonals(instance).items():
+        packed = sum(((flip >> q) & 1) << j for j, q in enumerate(sites))
+        h[:, cols ^ packed, cols] = diagonal.reshape((2,) * n).transpose(axes).reshape(k, s)
+    return h if blocked else h[0]
+
+
 class DensePropagator:
     """exp(-iHt) through Hermitian eigendecompositions, reusable for many t.
 
@@ -257,7 +347,7 @@ class DensePropagator:
     qubits) for a z-only environment coupled to a transverse system, 1x1
     blocks for a z-only H, one block (H itself, up to 13 qubits) when every
     qubit is flipped. The state's blocks are one transpose of its amplitude
-    tensor, the layout of ``model._block_axes`` that ``hamiltonian_matrix``
+    tensor, the layout of ``_block_axes`` that ``hamiltonian_matrix``
     builds H's blocks in; for CODI's flipped system qubit it is a view.
     The propagator holds the energies and the modes M and nothing else: the
     adjoint is applied as conj(M^T conj(v)), M's indices swapped in einsum,

@@ -336,11 +336,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 (init, instance.j_tensor[0, 1:, 2, 2].copy(), frags)
                 for instance, init, frags in draws
             ])
-            coeffs = [init.coeffs for init in inits]
             i_blk, chi_blk, s_blk = _closed_form_tables(
-                # the scalar abs: np.abs on complex arrays rounds differently
-                np.array([abs(c[0, 0]) ** 2 * abs(c[0, 1]) ** 2 for c in coeffs]),
-                np.array([c[1:] for c in coeffs]), np.array(fields), times, np.array(masks),
+                np.array([init.coeffs for init in inits]), np.array(fields), times, np.array(masks),
             )
             holevo = [chi_blk, i_blk - chi_blk]
         else:

@@ -240,15 +240,15 @@ def _rank2_entropy(weight, x) -> np.ndarray:
     return binary_entropy(0.5 * (1.0 + np.sqrt(np.clip(radicand, 0.0, 1.0))))
 
 
-def _closed_form_tables(weights, site_coeffs, fields, times, masks):
+def _closed_form_tables(coeffs, fields, times, masks):
     """Exact I, Holevo and S_S of R branching evolutions, vectorized over
     realizations, times, fragment columns and subsets.
 
-    ``weights`` holds |alpha0|^2 |beta0|^2 per realization, shape (R,);
-    ``site_coeffs`` the environment's initial pairs, shape (R, N, 2); ``fields``
-    the couplings, shape (R, N). ``masks`` is a boolean table of shape
-    (R, F, S, N): ``masks[r, f, s, k]`` marks environment site k + 1 as part of
-    subset s of column f, and each column averages over its S subsets.
+    ``coeffs`` holds each realization's initial pairs, the system's first,
+    shape (R, N + 1, 2), and w = |alpha0|^2 |beta0|^2 is read off the first;
+    ``fields`` the couplings, shape (R, N). ``masks`` is a boolean table of
+    shape (R, F, S, N): ``masks[r, f, s, k]`` marks environment site k + 1 as
+    part of subset s of column f, and each column averages over its S subsets.
     Returns I and Holevo tables of shape (R, T, F) and S_S of shape (R, T).
 
     Uses the rank-<=2 structure of every reduction of a branching state: the
@@ -256,8 +256,9 @@ def _closed_form_tables(weights, site_coeffs, fields, times, masks):
     on the squared branch overlaps of the environment, the fragment, and the
     fragment's complement (the last via purity of the global state).
     """
-    gam = _site_overlaps(site_coeffs, fields, times)  # (R, T, N)
-    weight = np.asarray(weights)[:, None]  # (R, 1)
+    gam = _site_overlaps(coeffs[:, 1:], fields, times)  # (R, T, N)
+    # the scalar abs: np.abs on complex arrays rounds differently
+    weight = np.array([abs(a) ** 2 * abs(b) ** 2 for a, b in coeffs[:, 0]])[:, None]  # (R, 1)
     g_env_sq = np.abs(np.prod(gam, axis=-1)) ** 2
     s_sys = _rank2_entropy(weight, 1.0 - g_env_sq)
 
@@ -295,13 +296,8 @@ def holevo_branching(bs: BranchingState, frag: Sequence[int]) -> float:
     """
     sites = _sites(frag, 1, bs.n_env, "fragment sites")
     mask = np.isin(np.arange(1, bs.n_env + 1), sites)[None, None, None]
-    _, chi, _ = _closed_form_tables(
-        [abs(bs.alpha0) ** 2 * abs(bs.beta0) ** 2],
-        bs.site_coeffs[None],
-        bs.fields[None],
-        np.array([bs.time]),
-        mask,
-    )
+    coeffs = np.concatenate([[[bs.alpha0, bs.beta0]], bs.site_coeffs])
+    _, chi, _ = _closed_form_tables(coeffs[None], bs.fields[None], np.array([bs.time]), mask)
     return float(chi[0, 0, 0])
 
 

@@ -5,7 +5,7 @@ import string
 import numpy as np
 
 import qdarwin as q
-from qdarwin.model import _flip_diagonals  # bound here, so a test may patch model's name
+from qdarwin.dynamics import _flip_diagonals  # bound here, so a test may patch dynamics' name
 
 PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -48,7 +48,7 @@ def oracle_hamiltonian(instance):
 def reference_flip_diagonals(instance):
     """H's flip-diagonal form {f: D_f}, H[b ^ f, b] = D_f[b], with each term's
     phase formed from an integer basis and a (1 - 2 * bit) sign pattern per y
-    or z factor, the formula ``model._flip_diagonals`` used before it flipped
+    or z factor, the formula ``dynamics._flip_diagonals`` used before it flipped
     signs in place. D_0 holds no phase and is taken from the package."""
     dim = 1 << instance.n_qubits
     basis = np.arange(dim)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import qdarwin as q
 from qdarwin import dynamics
-from qdarwin.model import _flip_diagonals
+from qdarwin.dynamics import _flip_diagonals
 
 from helpers import (
     bell_branching,
@@ -561,9 +561,20 @@ class TestDiagonalEngine:
             q.DiagonalPropagator(inst)
 
     def test_register_cap(self):
+        """Past the cap the propagator is refused before any array of the
+        register's size exists: a CPDI-S register of 41 qubits (32 TiB per state)."""
         inst = q.sample_instance(q.build_model("CPDI", 26), 0)
         with pytest.raises(ValueError, match="cap"):
             q.DiagonalPropagator(inst)
+        inst = q.sample_instance(q.build_model("CPDI_S", 40), 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^n_env: .* exceed the engine cap"):
+                q.DiagonalPropagator(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_large_register_is_fast(self):
         inst = q.sample_instance(q.build_model("CPDI", 20), 0)

@@ -622,16 +622,15 @@ class TestClosedFormKernel:
         inits = [q.random_product_state(n_env + 1, rng) for _ in range(n_r)]
         fields = rng.uniform(-1.0, 1.0, (n_r, n_env))
         times = np.sort(rng.uniform(0.0, 4.0, 3))
+        coeffs = np.array([init.coeffs for init in inits])
+        i_all, chi_all, s_all = _closed_form_tables(coeffs, fields, times, masks)
+        # the Holevo oracle's own branch weights
         weights = np.array([abs(a) ** 2 * abs(b) ** 2 for (a, b) in (i.coeffs[0] for i in inits)])
-        site_coeffs = np.array([init.coeffs[1:] for init in inits])
-        i_all, chi_all, s_all = _closed_form_tables(weights, site_coeffs, fields, times, masks)
         assert i_all.shape == chi_all.shape == (n_r, 3, n_f)
         assert s_all.shape == (n_r, 3)
         for r, init in enumerate(inits):
             # each realization's slice is the R = 1 call, bit for bit
-            alone = _closed_form_tables(
-                weights[r:r + 1], site_coeffs[r:r + 1], fields[r:r + 1], times, masks[r:r + 1]
-            )
+            alone = _closed_form_tables(coeffs[r:r + 1], fields[r:r + 1], times, masks[r:r + 1])
             for stacked, single in zip((i_all, chi_all, s_all), alone):
                 np.testing.assert_array_equal(stacked[r], single[0])
             i_vals, chi_vals, s_sys = i_all[r], chi_all[r], s_all[r]

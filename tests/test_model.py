@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qdarwin as q
-from qdarwin import model
-from qdarwin.model import AXES, _block_axes
+from qdarwin import dynamics
+from qdarwin.dynamics import _block_axes
+from qdarwin.model import AXES
 
 from helpers import (
     PAULI, kron_pauli, oracle_hamiltonian, oracle_reduced_density, random_generic_instance,
@@ -719,7 +720,7 @@ class TestHamiltonian:
                      for name in ("CODI", "CPDI_S") for seed in range(4)]
         instances += [random_generic_instance(np.random.default_rng(seed), 3) for seed in range(8)]
         stacks = [q.hamiltonian_matrix(instance, blocked) for instance in instances]
-        monkeypatch.setattr(model, "_flip_diagonals", reference_flip_diagonals)
+        monkeypatch.setattr(dynamics, "_flip_diagonals", reference_flip_diagonals)
         for instance, h in zip(instances, stacks):
             expected = q.hamiltonian_matrix(instance, blocked)
             assert np.array_equal(h, expected)
