@@ -24,6 +24,13 @@ chunk size, and a realization does not depend on how many follow it. A sweep
 repeats byte for byte under a fixed BLAS thread count; the README says from
 which cut sizes the bytes also depend on that count.
 
+A state larger than one Gram block is read block by block by every cut.
+There the cuts whose smaller side lies in a small family of qubits
+(``information._families`` picks the families once per realization, from
+the register and cut sizes alone) are taken from the family's purification,
+a pure state on twice its qubits built from one read of the state per time
+step; such a cell differs from the cut on the state by rounding (<= 1e-12).
+
 A realization's fragments are one boolean table ``masks[F, S, N]``: F
 fragment sizes, S subsets per size (1 for the prefix policy,
 ``subsets_per_realization`` for the random one), N environment sites. Each
@@ -43,10 +50,17 @@ from .analytics import asymptotic_holevo, asymptotic_mutual_info, binary_entropy
 from .dynamics import (
     DensePropagator,
     DiagonalPropagator,
+    _ProductState,
     dense_product_state,
     random_product_state,
 )
-from .information import NumericalError, _closed_form_tables, subsystem_entropy
+from .information import (
+    NumericalError,
+    _closed_form_tables,
+    _families,
+    _purification,
+    subsystem_entropy,
+)
 from .model import (
     ModelSpec,
     _integer,
@@ -241,24 +255,35 @@ def _state_tables(propagator, init, times, masks):
     only inside ``evolve``). Under a time-independent H this is exact in
     exact arithmetic; in float64 it differs from evolving each time from
     t = 0 by rounding (at most ~3e-14 in I and S_S on the fig3 grids).
+
+    The cuts are routed once (``information._families``); a step past the
+    initial product state takes the routed ones from its families'
+    purifications. Every step makes the same ``subsystem_entropy`` calls in
+    the same order, and the product state's are exactly 0.
     """
-    # (fragment, system + fragment) kept-qubit tuples, built once per realization
     frags = [[tuple((np.flatnonzero(row) + 1).tolist()) for row in rows] for rows in masks]
-    cuts = [[(frag, (0, *frag)) for frag in subsets] for subsets in frags]
-    i_vals = np.empty((times.shape[0], len(cuts)))
+    # the system's cut, then each subset's fragment and system + fragment cuts
+    keeps = [(0,), *(cut for subsets in frags for frag in subsets for cut in (frag, (0, *frag)))]
+    families, routes = _families(init.n_sites, keeps)
+    i_vals = np.empty((times.shape[0], len(frags)))
     s_sys = np.empty(times.shape[0])
     psi, t_prev = dense_product_state(init), 0.0
     for ti, t in enumerate(times):
         psi = propagator.evolve(psi, t - t_prev)  # rebinding releases the previous state
         t_prev = t
-        s_s = subsystem_entropy(psi, (0,))
-        s_sys[ti] = s_s
-        for fi, subsets in enumerate(cuts):
+        if families and type(psi) is not _ProductState:
+            sources = (psi, *(_purification(psi, family) for family in families))
+            ents = [subsystem_entropy(sources[src], keep) for src, keep in routes]
+            del sources  # so that the next evolve's rebinding releases psi
+        else:
+            ents = [subsystem_entropy(psi, keep) for keep in keeps]
+        s_s = s_sys[ti] = ents[0]
+        j = 1
+        for fi, subsets in enumerate(frags):
             acc = 0.0
-            for frag, joint in subsets:
-                s_f = subsystem_entropy(psi, frag)
-                s_sf = subsystem_entropy(psi, joint)
-                acc += s_s + s_f - s_sf
+            for _ in subsets:
+                acc += s_s + ents[j] - ents[j + 1]
+                j += 2
             i_vals[ti, fi] = acc / len(subsets)
     return i_vals, s_sys
 

@@ -74,7 +74,7 @@ def _cut(n: int, keep: tuple) -> _CutPlan:
     is the least significant bit and adjacent axes merge without a copy. The
     smaller side (the kept side on a tie) indexes the rows of the cut matrix
     A, whose Gram A A^H has the same nonzero spectrum as the reduced density
-    matrix. The plan is geometry only: ``_gram`` alone reads
+    matrix. The plan is geometry only: ``_gram`` and ``_families`` alone read
     ``_GRAM_BLOCK_BYTES``, so a cached plan holds for any budget. ``keep`` may
     hold any integers; ``_sites`` checks and converts them here, once per
     plan. Bad keeps raise on every call (exceptions are not cached).
@@ -107,18 +107,18 @@ def _spectrum(gram: np.ndarray) -> np.ndarray:
 
 
 def _gram(psi: PureState, plan: _CutPlan) -> np.ndarray:
-    """A A^H of the cut matrix A of ``plan``; the only function that reads
-    ``_GRAM_BLOCK_BYTES``. A state of at most that many bytes takes one
-    product of A, a view of the amplitudes whenever the axis order allows.
-    A larger state fills only the lower triangle, summed over column blocks
-    that each fix the larger side's most significant axes until a block
-    holds at most the budget: each block is a slice of the amplitude tensor,
-    reshaped (copied if need be) only after slicing, and its product is
-    added in row panels of at most the budget, so no temporary is larger
+    """A A^H of the cut matrix A of ``plan``: every entropy and purification
+    takes its Gram from here. A state of at most ``_GRAM_BLOCK_BYTES`` takes
+    one product of A, a view of the amplitudes whenever the axis order
+    allows. A larger state fills only the lower triangle, summed over column
+    blocks that each fix the larger side's most significant axes until a
+    block holds at most the budget: each block is a slice of the amplitude
+    tensor, reshaped (copied if need be) only after slicing, and its product
+    is added in row panels of at most the budget, so no temporary is larger
     than one block. A panel multiplies only against the columns up to its
     last row: above the diagonal panels the Gram stays zero, since
-    ``_spectrum`` and the 2 x 2 spectrum of ``subsystem_entropy`` read only
-    the lower triangle."""
+    ``_spectrum``, the 2 x 2 spectrum of ``subsystem_entropy`` and the
+    ``np.linalg.eigh`` of ``_purification`` read only the lower triangle."""
     tensor = psi.amplitudes.reshape((2,) * psi.n_qubits).transpose(plan.perm)
     if psi.amplitudes.nbytes <= _GRAM_BLOCK_BYTES:
         m = tensor.reshape(plan.shape)
@@ -136,6 +136,73 @@ def _gram(psi: PureState, plan: _CutPlan) -> np.ndarray:
             end = min(row + panel, d)
             gram[row:end, :end] += a[row:end] @ a_h[:, :end]
     return gram
+
+
+def _purification(psi: PureState, keep) -> PureState:
+    """A pure state on 2f qubits whose reduction onto its bits 0..f-1 is that
+    of ``psi`` onto the f qubits ``keep``, in ``_cut``'s row order (the first
+    kept qubit on bit 0), so a cut whose smaller side lies in ``keep`` has
+    the same entropy on it as on ``psi``. Its amplitudes are V diag(sqrt(lam))
+    from the eigendecomposition of the cut's Gram, with the eigenvector index
+    on the ancilla bits f..2f-1. ``keep`` must be the smaller side of its cut
+    (the kept side on a tie). Raises NumericalError on an eigenvalue below
+    -``_EIG_TOL``; those inside the tolerance are clamped to 0, as
+    ``_entropy_from_eigenvalues`` clamps them."""
+    plan = _plan(psi, keep)
+    if not plan.on_keep:
+        raise ValueError(f"kept qubits {list(keep)} are the larger side of their cut")
+    lam, vecs = np.linalg.eigh(_gram(psi, plan))
+    if not lam[0] >= -_EIG_TOL:  # NaN fails too
+        raise NumericalError(f"Gram eigenvalue below 0 beyond tolerance: {lam[0]}")
+    amps = (vecs * np.sqrt(np.maximum(lam, 0.0))).T.ravel()  # ancilla index on the high bits
+    return PureState(2 * (plan.shape[0].bit_length() - 1), amps)
+
+
+def _families(n: int, keeps) -> tuple:
+    """Route the calls ``subsystem_entropy(psi, keep)``, one per keep in
+    ``keeps``, on an n-qubit state: each to the state or to the purification
+    (``_purification``) of a family of qubits.
+
+    Returns ``(families, routes)``: the families, each a sorted tuple of
+    qubits, and one ``(source, keep)`` per call, where source 0 is the state
+    and source i the purification of ``families[i - 1]``, and keep names the
+    kept qubits on that source. A call moves to a family's purification when
+    the smaller side of its cut (the kept side on a tie) lies in the family;
+    there its kept qubits are that side, remapped to the family's bits, which
+    has the same entropy.
+
+    Only a state larger than one Gram block (``_GRAM_BLOCK_BYTES``) has every
+    cut read it block by block, so no smaller state gets a family. Above
+    that, the candidates are the calls' smaller sides, and the one with the
+    largest saving (c - 1) 2^n - 8^f - c 4^f is taken, where c counts the
+    calls not yet moved whose smaller side lies in it: c passes over the
+    state become one (its own Gram), one f-qubit eigendecomposition and c
+    cuts of a 4^f-amplitude state. This repeats while the saving is positive.
+    A cut with nothing on its smaller side takes no pass and never moves.
+    """
+    routes = [(0, keep) for keep in keeps]
+    if 16 << n <= _GRAM_BLOCK_BYTES:
+        return (), routes
+    every = frozenset(range(n))
+    sides = [frozenset(keep) if _cut(n, keep).on_keep else every.difference(keep) for keep in keeps]
+    left = [i for i, side in enumerate(sides) if side]
+    families = []
+
+    def saving(cand):  # over the calls still left
+        c = sum(sides[i] <= cand for i in left)
+        return ((c - 1) << n) - 8 ** len(cand) - c * 4 ** len(cand)
+
+    while left:
+        best = max(dict.fromkeys(sides[i] for i in left), key=saving)
+        if saving(best) <= 0:
+            break
+        families.append(tuple(sorted(best)))
+        bit = {q: j for j, q in enumerate(families[-1])}
+        for i in left:
+            if sides[i] <= best:
+                routes[i] = (len(families), tuple(sorted(bit[q] for q in sides[i])))
+        left = [i for i in left if not sides[i] <= best]
+    return tuple(families), routes
 
 
 def reduced_density(psi: PureState, keep: Sequence[int]) -> DensityMatrix:
@@ -191,9 +258,9 @@ def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:
     The spectrum must lie in [0, ||psi||^2] (``PureState.norm_sq``) within
     ``_EIG_TOL``, so a state at the edge of its own norm check passes.
 
-    The Gram comes from ``_gram``, which alone reads ``_GRAM_BLOCK_BYTES``:
-    a larger state has its lower triangle summed block by block, so the cut
-    never copies the whole state.
+    The Gram comes from ``_gram``: a state larger than
+    ``_GRAM_BLOCK_BYTES`` has its lower triangle summed block by block, so
+    the cut never copies the whole state.
     """
     plan = _plan(psi, keep)  # checks the keep, whatever the state
     d = plan.shape[0]

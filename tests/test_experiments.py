@@ -594,6 +594,51 @@ class TestSteppedStates:
             np.testing.assert_allclose(s_sys, s_ref, rtol=0, atol=1e-12)
 
 
+class TestFamilyRoute:
+    """With a 1 KiB Gram block every state past 6 qubits is read block by
+    block, so ``_state_tables`` takes the small cuts from the purifications of
+    the families ``information._families`` picks; the tables stay within
+    1e-12 of the unrouted ones, t = 0 rows stay exactly 0, and each time
+    step still makes one ``subsystem_entropy`` call per cut."""
+
+    @pytest.mark.parametrize("model", ["CODI", "CPDI_S"])
+    @pytest.mark.parametrize("n_env", [8, 10])
+    @pytest.mark.parametrize("policy,subsets", [("prefix", 1), ("random", 3)])
+    def test_matches_the_state_route(self, monkeypatch, model, n_env, policy, subsets):
+        config = small_config(
+            model=model, n_env=n_env, time_grid=(0.0, 0.5, 1.0, 2.0, 5.0),
+            fragment_sizes=tuple(range(n_env + 1)), realizations=1,
+            fragment_policy=policy, subsets_per_realization=subsets,
+        )
+        engine = q.DiagonalPropagator if model == "CPDI_S" else q.DensePropagator
+        instance, init, masks = experiments._realization(config.spec, config, 0)
+        propagator = engine(instance)
+        times = np.asarray(config.time_grid)
+        i_ref, s_ref = experiments._state_tables(propagator, init, times, masks)
+
+        counts = Counter()
+
+        def counting(key, func):
+            def wrapper(*args):
+                counts[key] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(information, "_GRAM_BLOCK_BYTES", 1 << 10)
+        monkeypatch.setattr(experiments, "subsystem_entropy",
+                            counting("entropy", experiments.subsystem_entropy))
+        monkeypatch.setattr(experiments, "_purification",
+                            counting("purification", experiments._purification))
+        i_vals, s_sys = experiments._state_tables(propagator, init, times, masks)
+        np.testing.assert_allclose(i_vals, i_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s_sys, s_ref, rtol=0, atol=1e-12)
+        assert not i_vals[0].any() and s_sys[0] == 0.0  # exactly 0, in every cell
+        t, f = len(times), len(config.fragment_sizes)
+        assert counts["entropy"] == t * (1 + 2 * f * subsets)
+        # one purification per family at each time past t = 0
+        assert counts["purification"] > 0 and counts["purification"] % (t - 1) == 0
+
+
 class TestFig2:
     def test_table_shape_and_values(self):
         table = q.reproduce_fig2()

@@ -345,6 +345,83 @@ class TestProductState:
         assert q.subsystem_entropy(psi, [0]) > 0.01
 
 
+class TestPurification:
+    """A family's purification has the family's reduction on its low bits, so
+    every cut whose smaller side lies in the family has the same entropy on
+    it as on the state."""
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    @pytest.mark.parametrize("order", ["prefix", "random"])
+    def test_subsets_and_their_complements_match_the_state(self, n, order):
+        rng = np.random.default_rng(n)
+        psi = random_state(n, n)
+        for f in range(1, (n + 1) // 2):  # f < n / 2
+            family = tuple(range(f)) if order == "prefix" else tuple(rng.permutation(n)[:f].tolist())
+            phi = information._purification(psi, family)
+            assert phi.n_qubits == 2 * f
+            for mask in range(1 << f):
+                bits = [j for j in range(f) if mask >> j & 1]  # family[j] sits on bit j
+                sub = [family[j] for j in bits]
+                want = q.subsystem_entropy(psi, sub)
+                got = (
+                    q.subsystem_entropy(psi, [k for k in range(n) if k not in sub]),
+                    q.subsystem_entropy(phi, bits),
+                    q.subsystem_entropy(phi, [k for k in range(2 * f) if k not in bits]),
+                )
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(sub))
+
+    def test_negative_gram_eigenvalue_raises(self, monkeypatch):
+        psi = random_state(4, 0)
+        gram = np.diag([-1e-6, 1.0 + 1e-6]).astype(complex)
+        monkeypatch.setattr(information, "_gram", lambda psi, plan: gram)
+        with pytest.raises(NumericalError, match="beyond tolerance"):
+            information._purification(psi, (0,))
+        # inside the tolerance the eigenvalue is clamped to 0
+        gram[0, 0], gram[1, 1] = -1e-12, 1.0 + 1e-12
+        phi = information._purification(psi, (0,))
+        assert abs(phi.amplitudes[0]) == abs(phi.amplitudes[1]) == 0.0
+
+    def test_the_larger_side_is_refused(self):
+        with pytest.raises(ValueError, match="larger side"):
+            information._purification(random_state(4, 0), (0, 1, 2))
+
+
+def call_keeps(sizes):
+    """A prefix sweep's cuts in call order: the system, then each size's
+    fragment and system + fragment."""
+    frags = [tuple(range(1, s + 1)) for s in sizes]
+    return [(0,), *(cut for frag in frags for cut in (frag, (0, *frag)))]
+
+
+class TestFamilies:
+    def test_no_family_within_one_gram_block(self):
+        assert information._families(9, call_keeps(range(9)))[0] == ()
+
+    def test_large_n_geometry(self):
+        """N = 18, sizes 0, 1, 2, 4, 9, 16, 18: the small cuts fall to two
+        families, and the two balanced d = 512 cuts stay on the state."""
+        keeps = call_keeps([0, 1, 2, 4, 9, 16, 18])
+        families, routes = information._families(19, keeps)
+        assert families == ((0, 1, 2, 3, 4), (0, 17, 18))
+        on_state = [keep for keep, (source, _) in zip(keeps, routes) if source == 0]
+        assert on_state == [(), tuple(range(1, 10)), tuple(range(10)), tuple(range(19))]
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_routes_match_the_state(self, gram_block_bytes, n):
+        gram_block_bytes(1 << 10)
+        rng = np.random.default_rng(n)
+        psi = random_state(n, n)
+        keeps = call_keeps(range(n)) + [
+            tuple(rng.permutation(n)[:size].tolist()) for size in rng.integers(0, n + 1, 20)
+        ]
+        families, routes = information._families(n, keeps)
+        assert families
+        sources = (psi, *(information._purification(psi, family) for family in families))
+        for keep, (source, sub) in zip(keeps, routes):
+            got = q.subsystem_entropy(sources[source], sub)
+            assert abs(got - q.subsystem_entropy(psi, keep)) < 1e-12, (keep, source, sub)
+
+
 class TestSpectrum:
     """``_spectrum`` is ``eigvalsh``'s LAPACK routine, so every d >= 4 cut
     keeps the bits it had through ``np.linalg.eigvalsh``."""

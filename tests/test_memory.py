@@ -148,21 +148,25 @@ def test_state_tables_hold_one_state():
     """A realization steps each state from the previous time's, so while its
     entropies are taken it holds one state, not the initial state as well:
     the peak is one state + the largest Gram + the Gram blocks (one 18-qubit
-    CPDI-S realization, whose 9|9 cut makes a Gram as large as the state)."""
-    config = q.ExperimentConfig(
-        model="CPDI_S", n_env=N_QUBITS - 1, time_grid=(0.0, 1.0, 2.0),
-        fragment_sizes=(0, 1, 8, 17), realizations=1,
-    )
-    spec = q.build_model(config.model, config.n_env)
-    instance, init, masks = experiments._realization(spec, config, 0)
-    propagator = q.DiagonalPropagator(instance)  # built before tracing starts
-    frags = [tuple(np.flatnonzero(row) + 1) for row in masks[:, 0]]
-    keeps = [(0,), *frags, *((0, *frag) for frag in frags)]
-    gram_bytes = max(16 * information._cut(N_QUBITS, keep).shape[0] ** 2 for keep in keeps)
-    assert gram_bytes == STATE_BYTES
-    bound = STATE_BYTES + gram_bytes + 3 * information._GRAM_BLOCK_BYTES
-    times = np.asarray(config.time_grid)
-    assert peak_bytes(experiments._state_tables, propagator, init, times, masks) <= bound
+    CPDI-S realization, whose 9|9 cut makes a Gram as large as the state).
+    The second size list takes its small cuts from two families'
+    purifications, of at most 4^5 amplitudes each, under the same bound."""
+    for sizes in ((0, 1, 8, 17), (0, 1, 2, 4, 8, 15, 17)):
+        config = q.ExperimentConfig(
+            model="CPDI_S", n_env=N_QUBITS - 1, time_grid=(0.0, 1.0, 2.0),
+            fragment_sizes=sizes, realizations=1,
+        )
+        spec = q.build_model(config.model, config.n_env)
+        instance, init, masks = experiments._realization(spec, config, 0)
+        propagator = q.DiagonalPropagator(instance)  # built before tracing starts
+        frags = [tuple(np.flatnonzero(row) + 1) for row in masks[:, 0]]
+        keeps = [(0,), *frags, *((0, *frag) for frag in frags)]
+        gram_bytes = max(16 * information._cut(N_QUBITS, keep).shape[0] ** 2 for keep in keeps)
+        assert gram_bytes == STATE_BYTES
+        bound = STATE_BYTES + gram_bytes + 3 * information._GRAM_BLOCK_BYTES
+        times = np.asarray(config.time_grid)
+        peak = peak_bytes(experiments._state_tables, propagator, init, times, masks)
+        assert peak <= bound, sizes
 
 
 def test_sweep_memory_does_not_grow_with_realizations(monkeypatch):
