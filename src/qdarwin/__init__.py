@@ -56,7 +56,6 @@ from .model import (
     ModelInstance,
     ModelSpec,
     PointMass,
-    Vec3,
     build_model,
     classify,
     sample_instance,

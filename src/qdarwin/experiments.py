@@ -63,6 +63,7 @@ from .information import (
 )
 from .model import (
     ModelSpec,
+    _flag,
     _integer,
     _items,
     _positive_integer,
@@ -146,6 +147,8 @@ class ExperimentConfig:
         for key in ("realizations", "subsets_per_realization"):
             object.__setattr__(self, key, _positive_integer(getattr(self, key), key))
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed"))
+        object.__setattr__(self, "keep_realizations",
+                           _flag(self.keep_realizations, "keep_realizations"))
         times = _grid(self.time_grid, _real, "time_grid", math.inf)
         sizes = _grid(self.fragment_sizes, _integer, "fragment_sizes", self.n_env)
         if self.fragment_policy not in FRAGMENT_POLICIES:

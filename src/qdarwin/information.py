@@ -48,13 +48,6 @@ class DensityMatrix:
             raise ValueError(f"trace must be 1 within 1e-9, got {tr!r}")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 class _CutPlan(NamedTuple):
     """Axis plan of a (keep | rest) cut; see ``_cut``."""
@@ -233,7 +226,7 @@ def _entropy_from_eigenvalues(eigs: Sequence[float], top: float = 1.0) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr[rho log2 rho] in bits, eigenvalues clamped to [0, 1] before the log."""
-    return _entropy_from_eigenvalues(rho.eigenvalues().tolist())
+    return _entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix).tolist())
 
 
 def subsystem_entropy(psi: PureState, keep: Sequence[int]) -> float:

@@ -29,36 +29,6 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 MODEL_KINDS = ("CPDI", "DPDI", "CODI", "CPDI_S")
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """Real 3-vector (field or coupling direction), components in energy units."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for value in (self.x, self.y, self.z):
-            _real(value, "Vec3 component")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    def is_zero(self) -> bool:
-        return self.x == 0.0 and self.y == 0.0 and self.z == 0.0
-
-    @staticmethod
-    def zero() -> "Vec3":
-        return Vec3(0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_array(arr) -> "Vec3":
-        arr = _number_array(arr, "Vec3")
-        if arr.shape != (3,):
-            raise ValueError(f"expected 3 components, got shape {arr.shape}")
-        return Vec3(float(arr[0]), float(arr[1]), float(arr[2]))
-
-
 # ---------------------------------------------------------------------------
 # Coupling laws
 # ---------------------------------------------------------------------------
@@ -194,6 +164,14 @@ def _real(value, key: str) -> float:
     raise ValueError(f"{key}: expected a finite real number, got {value!r}")
 
 
+def _flag(value, key: str) -> bool:
+    """``value`` as a bool; raise ValueError naming ``key`` unless it is a
+    Python or numpy bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{key}: expected a bool, got {value!r}")
+
+
 def _number_array(values, key: str, dtype=float) -> np.ndarray:
     """``values`` as a new array of ``dtype``, float or complex: the array
     counterpart of ``_real``. Raise ValueError naming ``key`` unless every
@@ -304,17 +282,22 @@ class ModelSpec:
     ``ContinuousUniform``, ``DiscreteUniform`` or ``PointMass``; point masses
     at zero are dropped at construction, and absent keys mean a vanishing
     coefficient. Each mapping is stored in the draw order of
-    ``sample_instance``. ``b0`` is the (deterministic) system field.
+    ``sample_instance``. ``b0``, the (deterministic) system field, is any
+    list of three finite reals, stored as a tuple of floats.
     """
 
     label: str
     n_env: int
-    b0: Vec3
+    b0: tuple
     sys_env: Mapping
     intra_env: Mapping
     env_fields: Mapping
 
     def __post_init__(self):
+        b0 = _items(self.b0, "b0")
+        if len(b0) != 3:
+            raise ValueError(f"b0: expected a list of 3 numbers, got {list(b0)!r}")
+        object.__setattr__(self, "b0", tuple(_real(v, "b0") for v in b0))
         if not isinstance(self.label, str):
             raise ValueError(f"label: expected a string, got {self.label!r}")
         n_env = _positive_integer(self.n_env, "n_env")
@@ -336,7 +319,7 @@ class ModelSpec:
 
     def is_z_only(self) -> bool:
         """True when the Hamiltonian contains only sigma_z factors (diagonal)."""
-        return self.b0.x == 0.0 and self.b0.y == 0.0 and all(
+        return not any(self.b0[:2]) and all(
             key[s] == "z" for name, fields in _KEY_FIELDS.items() for key in getattr(self, name)
             for field in _AXIS_FIELDS for s in fields.get(field, ())
         )
@@ -346,7 +329,7 @@ class ModelSpec:
         initially separable state in singly-branching form at all times."""
         return (
             self.is_z_only()
-            and self.b0.is_zero()
+            and not any(self.b0)
             and not self.intra_env
             and not self.env_fields
         )
@@ -354,7 +337,7 @@ class ModelSpec:
     # -- JSON schema (documented in the README) ----------------------------
 
     def to_json_dict(self) -> dict:
-        doc = {"label": self.label, "n_env": self.n_env, "b0": [self.b0.x, self.b0.y, self.b0.z]}
+        doc = {"label": self.label, "n_env": self.n_env, "b0": list(self.b0)}
         for name in _KEY_FIELDS:
             doc[name] = [
                 {**_entry_fields(name, key), "source": _source(law)}
@@ -377,13 +360,10 @@ class ModelSpec:
                 if key in mappings[name]:  # tuple equality: site 1 and 1.0 are one key
                     raise ValueError(f"{name}: repeated entry for key {key!r}")
                 mappings[name][key] = _source_law(entry["source"])
-        b0 = _items(doc.get("b0", [0.0, 0.0, 0.0]), "b0")
-        if len(b0) != 3:
-            raise ValueError(f"b0: expected a list of 3 numbers, got {list(b0)!r}")
         return cls(
             label=doc.get("label", ""),
             n_env=doc["n_env"],
-            b0=Vec3(*(_real(v, "b0") for v in b0)),
+            b0=doc.get("b0", (0.0, 0.0, 0.0)),
             **mappings,
         )
 
@@ -459,7 +439,7 @@ class Classification:
     continuous_support: bool
     no_scrambling: bool
     darwinism_supported: bool
-    pointer_direction: Vec3 | None = None
+    pointer_direction: tuple | None = None  # a unit float triple
 
     def __post_init__(self):
         expected = self.pointer_basis and self.continuous_support and self.no_scrambling
@@ -513,7 +493,7 @@ def build_model(kind: str, n_env: int, **overrides) -> ModelSpec:
         raise ValueError(f"scramble_half_width must be >= 0, got {scramble_half_width}")
 
     sys_env = {("z", j, "z"): coupling for j in range(1, n_env + 1)}
-    b0 = Vec3(0.0, 1.0, 0.0) if kind == "CODI" else Vec3.zero()
+    b0 = (0.0, 1.0, 0.0) if kind == "CODI" else (0.0, 0.0, 0.0)
     intra_env = {}
     if scramble_half_width > 0:
         scramble = ContinuousUniform(scramble_half_width)
@@ -561,7 +541,7 @@ def sample_instance(spec: ModelSpec, seed) -> ModelInstance:
     for (i, j, alpha, beta), value in zip(couplings, values):
         jt[i, j, _AXIS_INDEX[alpha], _AXIS_INDEX[beta]] = value
     fields = np.zeros((n + 1, 3))
-    fields[0] = spec.b0.as_array()
+    fields[0] = spec.b0
     for (site, comp), value in zip(spec.env_fields, values[len(couplings):]):
         fields[site, _AXIS_INDEX[comp]] = value
     return ModelInstance(n_env=n, j_tensor=jt, fields=fields)
@@ -591,6 +571,7 @@ def classify(instance: ModelInstance, continuous_support: bool, tol: float = 1e-
     largest coupling magnitude. All tests are relative, so the verdict is
     invariant under rescaling the instance.
     """
+    continuous_support = _flag(continuous_support, "continuous_support")
     if _real(tol, "tol") <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     jt, b0 = instance.j_tensor, instance.fields[0]
@@ -603,12 +584,12 @@ def classify(instance: ModelInstance, continuous_support: bool, tol: float = 1e-
             axis = -axis
         pointer = bool(s[1] <= tol * s[0]
                        and np.linalg.norm(np.cross(b0, axis)) <= tol * np.linalg.norm(b0))
-    direction = Vec3.from_array(axis / np.linalg.norm(axis)) if pointer and axis.any() else None
+    direction = tuple((axis / np.linalg.norm(axis)).tolist()) if pointer and axis.any() else None
     no_scrambling = bool(np.abs(jt[1:, 1:]).max() <= tol * np.abs(jt).max())
     return Classification(
         pointer_basis=pointer,
-        continuous_support=bool(continuous_support),
+        continuous_support=continuous_support,
         no_scrambling=no_scrambling,
-        darwinism_supported=pointer and bool(continuous_support) and no_scrambling,
+        darwinism_supported=pointer and continuous_support and no_scrambling,
         pointer_direction=direction,
     )

@@ -83,6 +83,14 @@ class TestConfig:
         assert (config.n_env, config.realizations, config.master_seed) == (2, 2, 7)
         assert all(type(v) is int for v in (config.n_env, config.realizations, config.master_seed))
 
+    def test_keep_realizations_must_be_a_bool(self):
+        for bad in ("no", 0, None):
+            with pytest.raises(ValueError, match="keep_realizations"):
+                small_config(keep_realizations=bad)
+        config = small_config(keep_realizations=np.True_)
+        assert config.keep_realizations is True
+        assert "keep_realizations" not in config.to_json_dict()
+
     def test_the_spec_is_built_once_and_held(self):
         config = small_config(model="CPDI_S", overrides={"scramble_half_width": 0.1})
         assert config.spec == q.build_model("CPDI_S", 4, scramble_half_width=0.1)
@@ -410,7 +418,7 @@ def sweep_specs(draw):
             env_fields[site, "z"] = law()
         if transverse == "env_fields":
             env_fields[draw(st.integers(1, n)), draw(st.sampled_from("xy"))] = law()
-    return q.ModelSpec(label="random", n_env=n, b0=q.Vec3(*b0), sys_env=sys_env,
+    return q.ModelSpec(label="random", n_env=n, b0=b0, sys_env=sys_env,
                        intra_env=intra_env, env_fields=env_fields)
 
 
@@ -419,9 +427,9 @@ def structural_engine(spec):
     branching form for system-environment zz couplings alone, else diagonal."""
     keys = [*spec.sys_env, *spec.intra_env, *spec.env_fields]
     axes = "".join(part for key in keys for part in key if isinstance(part, str))
-    if spec.b0.x or spec.b0.y or set(axes) & set("xy"):
+    if spec.b0[0] or spec.b0[1] or set(axes) & set("xy"):
         return "dense"
-    if spec.b0.is_zero() and not spec.intra_env and not spec.env_fields:
+    if not any(spec.b0) and not spec.intra_env and not spec.env_fields:
         return "branching"
     return "diagonal"
 

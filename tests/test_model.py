@@ -91,7 +91,7 @@ class TestBuildModel:
     def test_cpdi_structure(self):
         spec = q.build_model("CPDI", 8)
         assert spec.n_env == 8
-        assert spec.b0 == q.Vec3(0.0, 0.0, 0.0)
+        assert spec.b0 == (0.0, 0.0, 0.0)
         assert set(spec.sys_env) == {("z", j, "z") for j in range(1, 9)}
         for law in spec.sys_env.values():
             assert law == q.ContinuousUniform(1.0)
@@ -103,7 +103,7 @@ class TestBuildModel:
     def test_codi_adds_transverse_field(self):
         spec = q.build_model("CODI", 8)
         cpdi = q.build_model("CPDI", 8)
-        assert spec.b0 == q.Vec3(0.0, 1.0, 0.0)
+        assert spec.b0 == (0.0, 1.0, 0.0)
         assert spec.sys_env == cpdi.sys_env
         assert spec.intra_env == {}
         assert not spec.is_z_only()
@@ -180,7 +180,7 @@ def _mixed_spec():
     return q.ModelSpec(
         label="mixed",
         n_env=3,
-        b0=q.Vec3(0.0, 0.0, 0.3),
+        b0=(0.0, 0.0, 0.3),
         sys_env={
             ("z", 3, "z"): q.ContinuousUniform(1.0),
             ("z", 1, "x"): q.PointMass(0.7),
@@ -203,7 +203,7 @@ def _interleaved_spec():
     return q.ModelSpec(
         label="interleaved",
         n_env=4,
-        b0=q.Vec3(0.0, 0.5, 0.0),
+        b0=(0.0, 0.5, 0.0),
         sys_env={
             ("x", 1, "x"): uniform, ("x", 2, "x"): uniform, ("x", 3, "z"): const,
             ("y", 1, "z"): discrete, ("y", 2, "z"): discrete, ("y", 4, "y"): uniform,
@@ -219,21 +219,21 @@ def _interleaved_spec():
 
 class TestSourcesAndSpec:
     def test_spec_values_must_be_laws(self):
-        spec = q.ModelSpec("t", 1, q.Vec3.zero(), {("z", 1, "z"): q.PointMass(0.7)}, {}, {})
+        spec = q.ModelSpec("t", 1, (0.0, 0.0, 0.0), {("z", 1, "z"): q.PointMass(0.7)}, {}, {})
         assert spec.sys_env[("z", 1, "z")] == q.PointMass(0.7)
         # a bare number or a JSON source object is not a law
         for value in (0.5, None, "uniform", {"type": "const", "value": 1.0}):
             with pytest.raises(TypeError, match="not a coupling law"):
-                q.ModelSpec("t", 1, q.Vec3.zero(), {("z", 1, "z"): value}, {}, {})
+                q.ModelSpec("t", 1, (0.0, 0.0, 0.0), {("z", 1, "z"): value}, {}, {})
             with pytest.raises(TypeError, match="not a coupling law"):
-                q.ModelSpec("t", 2, q.Vec3.zero(), {}, {(1, 2, "z", "z"): value}, {})
+                q.ModelSpec("t", 2, (0.0, 0.0, 0.0), {}, {(1, 2, "z", "z"): value}, {})
             with pytest.raises(TypeError, match="not a coupling law"):
-                q.ModelSpec("t", 1, q.Vec3.zero(), {}, {}, {(1, "z"): value})
+                q.ModelSpec("t", 1, (0.0, 0.0, 0.0), {}, {}, {(1, "z"): value})
 
     def test_label_must_be_a_string(self):
         for label in (None, 3, {"type": 1}):
             with pytest.raises(ValueError, match="label"):
-                q.ModelSpec(label, 1, q.Vec3.zero(), {}, {}, {})
+                q.ModelSpec(label, 1, (0.0, 0.0, 0.0), {}, {}, {})
         doc = q.build_model("CPDI", 1).to_json_dict()
         del doc["label"]
         assert q.ModelSpec.from_json_dict(doc).label == ""
@@ -243,7 +243,7 @@ class TestSourcesAndSpec:
             spec = q.ModelSpec(
                 label="t",
                 n_env=2,
-                b0=q.Vec3.zero(),
+                b0=(0.0, 0.0, 0.0),
                 sys_env={("z", 1, "z"): q.PointMass(zero), ("x", 1, "x"): q.PointMass(0.1)},
                 intra_env={(1, 2, "z", "z"): q.PointMass(zero)},
                 env_fields={(2, "x"): q.PointMass(zero), (1, "y"): q.DiscreteUniform((0.0,))},
@@ -255,31 +255,31 @@ class TestSourcesAndSpec:
 
     def test_invalid_indices_rejected(self):
         with pytest.raises(ValueError):
-            q.ModelSpec("t", 1, q.Vec3.zero(), {("z", 2, "z"): q.PointMass(1.0)}, {}, {})
+            q.ModelSpec("t", 1, (0.0, 0.0, 0.0), {("z", 2, "z"): q.PointMass(1.0)}, {}, {})
         with pytest.raises(ValueError):
-            q.ModelSpec("t", 3, q.Vec3.zero(), {}, {(2, 2, "z", "z"): q.PointMass(1.0)}, {})
+            q.ModelSpec("t", 3, (0.0, 0.0, 0.0), {}, {(2, 2, "z", "z"): q.PointMass(1.0)}, {})
         with pytest.raises(ValueError):
-            q.ModelSpec("t", 1, q.Vec3.zero(), {}, {}, {(1, "q"): q.PointMass(1.0)})
+            q.ModelSpec("t", 1, (0.0, 0.0, 0.0), {}, {}, {(1, "q"): q.PointMass(1.0)})
         for key in (("z", 1), ("z", 1, "z", "z")):  # a slot short or one too many
             with pytest.raises(ValueError, match="sys_env"):
-                q.ModelSpec("t", 1, q.Vec3.zero(), {key: q.PointMass(1.0)}, {}, {})
+                q.ModelSpec("t", 1, (0.0, 0.0, 0.0), {key: q.PointMass(1.0)}, {}, {})
 
     def test_non_integral_indices_rejected(self):
         law = q.PointMass(1.0)
         for bad in (1.9, True):
             with pytest.raises(ValueError, match="site"):
-                q.ModelSpec("t", 2, q.Vec3.zero(), {("z", bad, "z"): law}, {}, {})
+                q.ModelSpec("t", 2, (0.0, 0.0, 0.0), {("z", bad, "z"): law}, {}, {})
             with pytest.raises(ValueError, match="sites"):
-                q.ModelSpec("t", 3, q.Vec3.zero(), {}, {(bad, 3, "z", "z"): law}, {})
+                q.ModelSpec("t", 3, (0.0, 0.0, 0.0), {}, {(bad, 3, "z", "z"): law}, {})
             with pytest.raises(ValueError, match="sites"):
-                q.ModelSpec("t", 3, q.Vec3.zero(), {}, {(1, bad, "z", "z"): law}, {})
+                q.ModelSpec("t", 3, (0.0, 0.0, 0.0), {}, {(1, bad, "z", "z"): law}, {})
             with pytest.raises(ValueError, match="site"):
-                q.ModelSpec("t", 2, q.Vec3.zero(), {}, {}, {(bad, "x"): law})
+                q.ModelSpec("t", 2, (0.0, 0.0, 0.0), {}, {}, {(bad, "x"): law})
             with pytest.raises(ValueError, match="n_env"):
-                q.ModelSpec("t", bad, q.Vec3.zero(), {}, {}, {})
+                q.ModelSpec("t", bad, (0.0, 0.0, 0.0), {}, {}, {})
         # an integral float is the integer it names
         spec = q.ModelSpec(
-            "t", 3.0, q.Vec3.zero(), {("z", 2.0, "z"): law}, {(1.0, 3.0, "z", "z"): law},
+            "t", 3.0, (0.0, 0.0, 0.0), {("z", 2.0, "z"): law}, {(1.0, 3.0, "z", "z"): law},
             {(2.0, "x"): law},
         )
         assert spec.n_env == 3 and type(spec.n_env) is int
@@ -324,6 +324,9 @@ class TestModelInstance:
 
 
 class TestSampleInstance:
+    def test_axes_order(self):
+        assert AXES == ("x", "y", "z")
+
     def test_deterministic(self):
         spec = q.build_model("CPDI_S", 5)
         a = q.sample_instance(spec, 12345)
@@ -374,7 +377,7 @@ class TestSampleInstance:
         spec = q.ModelSpec(
             label="mixed",
             n_env=3,
-            b0=q.Vec3(0.2, 0.0, -0.4),
+            b0=(0.2, 0.0, -0.4),
             sys_env={
                 ("z", 1, "x"): uniform,
                 ("x", 3, "y"): discrete,
@@ -437,7 +440,7 @@ class TestSampleInstance:
             rng = np.random.default_rng(seed)
             jt = np.zeros((spec.n_env + 1,) * 2 + (3, 3))
             fields = np.zeros((spec.n_env + 1, 3))
-            fields[0] = spec.b0.as_array()
+            fields[0] = spec.b0
             targets = [(jt, (0, j, AXES.index(a), AXES.index(b))) for a, j, b in spec.sys_env]
             targets += [(jt, (i, j, AXES.index(a), AXES.index(b))) for i, j, a, b in spec.intra_env]
             targets += [(fields, (k, AXES.index(c))) for k, c in spec.env_fields]
@@ -508,7 +511,7 @@ class TestClassify:
         verdict = q.classify(q.sample_instance(spec, 0), True)
         assert verdict.pointer_direction is not None
         np.testing.assert_allclose(
-            verdict.pointer_direction.as_array(), [0.0, 0.0, 1.0], atol=1e-12
+            np.array(verdict.pointer_direction), [0.0, 0.0, 1.0], atol=1e-12
         )
 
     def test_all_zero_couplings_rank0(self):
@@ -524,7 +527,7 @@ class TestClassify:
         inst = q.ModelInstance(n_env=2, j_tensor=np.zeros((3, 3, 3, 3)), fields=fields)
         verdict = q.classify(inst, False)
         assert verdict.pointer_basis
-        np.testing.assert_allclose(verdict.pointer_direction.as_array(), [0.6, 0.0, 0.8])
+        np.testing.assert_allclose(np.array(verdict.pointer_direction), [0.6, 0.0, 0.8])
 
     def test_decoupled_system_keeps_its_field_axis_beside_intra_couplings(self):
         jt = np.zeros((3, 3, 3, 3))
@@ -533,7 +536,7 @@ class TestClassify:
         fields[0] = [0.0, -3.0, 4.0]
         verdict = q.classify(q.ModelInstance(n_env=2, j_tensor=jt, fields=fields), True)
         assert verdict.pointer_basis is True
-        assert verdict.pointer_direction == q.Vec3(0.0, -0.6, 0.8)
+        assert verdict.pointer_direction == (0.0, -0.6, 0.8)
         assert verdict.no_scrambling is False
         assert verdict.darwinism_supported is False
 
@@ -561,7 +564,7 @@ class TestClassify:
         verdict = q.classify(inst, True)
         assert verdict.pointer_basis == bool(null.any())
         if null.sum() == 1:
-            assert abs(verdict.pointer_direction.as_array() @ vecs[:, 0]) == pytest.approx(1.0)
+            assert abs(np.array(verdict.pointer_direction) @ vecs[:, 0]) == pytest.approx(1.0)
         else:
             assert verdict.pointer_direction is None
 
@@ -618,6 +621,16 @@ class TestClassify:
                 verdict.no_scrambling,
                 verdict.darwinism_supported,
             ) == (base.pointer_basis, base.no_scrambling, base.darwinism_supported)
+
+    def test_continuous_support_must_be_a_bool(self):
+        inst = q.sample_instance(q.build_model("CPDI", 2), 0)
+        for bad in ("False", 0, 1.0, None):
+            with pytest.raises(ValueError, match="continuous_support"):
+                q.classify(inst, bad)
+        for flag in (False, np.False_):
+            verdict = q.classify(inst, flag)
+            assert verdict.continuous_support is False and verdict.darwinism_supported is False
+        assert q.classify(inst, np.True_).continuous_support is True
 
     def test_tol_validation(self):
         inst = q.sample_instance(q.build_model("CPDI", 2), 0)
@@ -677,7 +690,7 @@ class TestHamiltonian:
             inst = q.sample_instance(spec, seed)
             verdict = q.classify(inst, True)
             assert verdict.pointer_basis
-            v = verdict.pointer_direction.as_array()
+            v = np.array(verdict.pointer_direction)
             pauli = [
                 np.array([[0, 1], [1, 0]], dtype=complex),
                 np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -732,20 +745,23 @@ class TestHamiltonian:
             q.hamiltonian_matrix(q.sample_instance(spec, 0))
 
 
-class TestVec3:
-    def test_finite_required(self):
-        with pytest.raises(ValueError):
-            q.Vec3(np.inf, 0.0, 0.0)
+class TestSpecB0:
+    def test_any_list_of_three_reals_is_stored_as_a_float_tuple(self):
+        for b0 in ((0, 1, 0), [0, 1, 0], np.array([0, 1, 0]), np.array([0.0, 1.0, 0.0])):
+            spec = q.ModelSpec("t", 1, b0, {("z", 1, "z"): q.PointMass(1.0)}, {}, {})
+            assert spec.b0 == (0.0, 1.0, 0.0)
+            assert type(spec.b0) is tuple and all(type(v) is float for v in spec.b0)
+            assert not spec.is_z_only() and not spec.is_branching_form()
+            assert q.ModelSpec.from_json(spec.to_json()) == spec
+        spec = q.ModelSpec("t", 1, (0, 0, -2), {("z", 1, "z"): q.PointMass(1.0)}, {}, {})
+        assert spec.is_z_only() and not spec.is_branching_form()
+        np.testing.assert_array_equal(q.sample_instance(spec, 0).fields[0], [0.0, 0.0, -2.0])
 
-    def test_from_array_shape(self):
-        with pytest.raises(ValueError):
-            q.Vec3.from_array([1.0, 2.0])
-
-    def test_from_array_takes_numbers_only(self):
-        for bad in (["1", 0, 0], [True, 0, 0], [0.0, np.inf, 0.0]):
-            with pytest.raises(ValueError, match="Vec3: expected finite real"):
-                q.Vec3.from_array(bad)
-        assert q.Vec3.from_array(np.array([1, 2, 3])) == q.Vec3(1.0, 2.0, 3.0)
-
-    def test_axes_order(self):
-        assert AXES == ("x", "y", "z")
+    def test_a_bad_b0_names_its_key(self):
+        for bad in ((0.0, 1.0), [0.0, 0.0, 0.0, 0.0], (np.nan, 0.0, 0.0), [0.0, np.inf, 0.0],
+                    (True, 0.0, 0.0), ["1", 0.0, 0.0], np.zeros((3, 1)), 5, None, "xyz",
+                    {0: 1.0}):
+            with pytest.raises(ValueError, match="^b0"):
+                q.ModelSpec("t", 1, bad, {}, {}, {})
+            with pytest.raises(ValueError, match="^b0"):
+                q.ModelSpec.from_json_dict({"n_env": 1, "b0": bad})

@@ -7,7 +7,7 @@ PUBLIC_NAMES = [
     "BranchingState", "Classification", "ContinuousUniform",
     "DensePropagator", "DensityMatrix", "DiagonalPropagator", "DiscreteUniform",
     "ExperimentConfig", "MODEL_KINDS", "ModelInstance", "ModelSpec", "PointMass",
-    "ProductCoeffs", "PureState", "SweepResult", "Vec3", "align_global_phase",
+    "ProductCoeffs", "PureState", "SweepResult", "align_global_phase",
     "analytics", "asymptotic_holevo", "asymptotic_mutual_info",
     "averaged_gamma_squared", "binary_entropy", "branching_to_dense", "build_model",
     "characteristic_function", "classify", "dense_product_state", "dynamics",
