@@ -757,11 +757,21 @@ class TestSpecB0:
         assert spec.is_z_only() and not spec.is_branching_form()
         np.testing.assert_array_equal(q.sample_instance(spec, 0).fields[0], [0.0, 0.0, -2.0])
 
+    @staticmethod
+    def _refused(bad):
+        with pytest.raises(ValueError, match="^b0"):
+            q.ModelSpec("t", 1, bad, {}, {}, {})
+        with pytest.raises(ValueError, match="^b0"):
+            q.ModelSpec.from_json_dict({"n_env": 1, "b0": bad})
+
+    def test_a_non_finite_b0_names_its_key(self):
+        for bad in ((np.nan, 0.0, 0.0), [0.0, np.inf, 0.0], (0.0, 0.0, -np.inf)):
+            self._refused(bad)
+
+    def test_a_b0_not_of_three_entries_names_its_key(self):
+        for bad in ((0.0, 1.0), [0.0, 0.0, 0.0, 0.0], np.zeros((3, 1)), 5, None):
+            self._refused(bad)
+
     def test_a_bad_b0_names_its_key(self):
-        for bad in ((0.0, 1.0), [0.0, 0.0, 0.0, 0.0], (np.nan, 0.0, 0.0), [0.0, np.inf, 0.0],
-                    (True, 0.0, 0.0), ["1", 0.0, 0.0], np.zeros((3, 1)), 5, None, "xyz",
-                    {0: 1.0}):
-            with pytest.raises(ValueError, match="^b0"):
-                q.ModelSpec("t", 1, bad, {}, {}, {})
-            with pytest.raises(ValueError, match="^b0"):
-                q.ModelSpec.from_json_dict({"n_env": 1, "b0": bad})
+        for bad in ((True, 0.0, 0.0), ["1", 0.0, 0.0], "xyz", {0: 1.0}):
+            self._refused(bad)
