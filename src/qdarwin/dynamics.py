@@ -160,11 +160,12 @@ class BranchingState:
 def _site_overlaps(site_coeffs: np.ndarray, fields: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Branch overlaps |a|^2 e^{-2iBt} + |b|^2 e^{+2iBt} of every site at every
     time, shape (..., T, N), for per-site coefficients (a, b) of shape
-    (..., N, 2) and couplings B of shape (..., N)."""
+    (..., N, 2) and couplings B of shape (..., N); exactly 1 at t = 0."""
     a2 = np.abs(site_coeffs[..., 0]) ** 2
     b2 = np.abs(site_coeffs[..., 1]) ** 2
     phases = np.exp(-2j * (times[:, None] * fields[..., None, :]))
-    return a2[..., None, :] * phases + b2[..., None, :] * np.conj(phases)
+    overlaps = a2[..., None, :] * phases + b2[..., None, :] * np.conj(phases)
+    return np.where(times[:, None] == 0, 1.0, overlaps)
 
 
 def random_product_state(n_qubits: int, seed) -> ProductCoeffs:

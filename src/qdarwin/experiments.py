@@ -15,9 +15,9 @@ so a chunk holds one model instance at a time. A state engine steps each
 state from the previous grid time's, so a realization holds one state vector
 while its entropies are taken; a cell can therefore differ by rounding
 (<= 1e-12) between two time grids that reach its time by different steps.
-Either way a chunk yields one layout, a (realization, time, size) table per
-quantity, with S_S repeated over the size axis so that it is folded per cell
-like the rest. Each finished chunk is folded into running sums and dropped,
+Either way a chunk yields the entropies S_S, S_F and S_SF, and each quantity
+is folded as one (realization, time, size) table, S_S repeated over the size
+axis. Each finished chunk is folded into running sums and dropped,
 so a sweep's memory does not grow with its realization count. Every
 per-realization value, mean and standard error is bit-identical whatever the
 chunk size, and a realization does not depend on how many follow it. A sweep
@@ -33,8 +33,10 @@ step; such a cell differs from the cut on the state by rounding (<= 1e-12).
 
 A realization's fragments are one boolean table ``masks[F, S, N]``: F
 fragment sizes, S subsets per size (1 for the prefix policy,
-``subsets_per_realization`` for the random one), N environment sites. Each
-(time, size) cell averages its quantity over the S subsets.
+``subsets_per_realization`` for the random one), N environment sites.
+``run_sweep`` alone forms I = S_S + S_F - S_SF of each subset, and a cell
+averages I or the Holevo quantity over its S subsets with one function,
+``information._subset_mean``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .information import (
     _closed_form_tables,
     _families,
     _purification,
+    _subset_mean,
     subsystem_entropy,
 )
 from .model import (
@@ -83,7 +86,7 @@ _MASK64 = (1 << 64) - 1
 _CHUNK_BYTES = 64 * 1024
 
 # The sweep's per-realization (T, F) tables, in folding order: every engine
-# yields the first three, the branching closed form the Holevo pair as well.
+# has the first three, the branching closed form the Holevo pair as well.
 _TABLES = ("i", "s", "ratio", "chi", "discord")
 
 FRAGMENT_POLICIES = ("prefix", "random")
@@ -249,46 +252,38 @@ def _realization(spec: ModelSpec, config: ExperimentConfig, r: int):
 
 
 def _state_tables(propagator, init, times, masks):
-    """I of shape (T, F) and S_S of shape (T,) from explicit states and
-    partial-trace entropies.
+    """Partial-trace entropies of explicit states: S_S of shape (T,) and every
+    subset's S_F and S_SF (fragment, system + fragment), shape (S, T, F).
 
     Each state is stepped from the previous grid time's state by the time
     between them, starting from the initial product state at t = 0, so the
     realization holds one evolved state while its entropies are taken (two
     only inside ``evolve``). Under a time-independent H this is exact in
     exact arithmetic; in float64 it differs from evolving each time from
-    t = 0 by rounding (at most ~3e-14 in I and S_S on the fig3 grids).
+    t = 0 by rounding (at most ~3e-14 in the entropies on the fig3 grids).
 
     The cuts are routed once (``information._families``); a step past the
     initial product state takes the routed ones from its families'
     purifications. Every step makes the same ``subsystem_entropy`` calls in
-    the same order, and the product state's are exactly 0.
+    the same order, into a row of one (T, 1 + 2FS) table; a product state's are exactly 0.
     """
     frags = [[tuple((np.flatnonzero(row) + 1).tolist()) for row in rows] for rows in masks]
     # the system's cut, then each subset's fragment and system + fragment cuts
     keeps = [(0,), *(cut for subsets in frags for frag in subsets for cut in (frag, (0, *frag)))]
     families, routes = _families(init.n_sites, keeps)
-    i_vals = np.empty((times.shape[0], len(frags)))
-    s_sys = np.empty(times.shape[0])
-    psi, t_prev = dense_product_state(init), 0.0
-    for ti, t in enumerate(times):
-        psi = propagator.evolve(psi, t - t_prev)  # rebinding releases the previous state
-        t_prev = t
+    ents = np.empty((times.shape[0], len(keeps)))
+    psi = dense_product_state(init)
+    for row, step in zip(ents, np.diff(times, prepend=0.0)):
+        psi = propagator.evolve(psi, step)  # rebinding releases the previous state
         if families and type(psi) is not _ProductState:
             sources = (psi, *(_purification(psi, family) for family in families))
-            ents = [subsystem_entropy(sources[src], keep) for src, keep in routes]
+            row[:] = [subsystem_entropy(sources[src], keep) for src, keep in routes]
             del sources  # so that the next evolve's rebinding releases psi
         else:
-            ents = [subsystem_entropy(psi, keep) for keep in keeps]
-        s_s = s_sys[ti] = ents[0]
-        j = 1
-        for fi, subsets in enumerate(frags):
-            acc = 0.0
-            for _ in subsets:
-                acc += s_s + ents[j] - ents[j + 1]
-                j += 2
-            i_vals[ti, fi] = acc / len(subsets)
-    return i_vals, s_sys
+            row[:] = [subsystem_entropy(psi, keep) for keep in keeps]
+    # (T, F, S, cut) -> (cut, S, T, F)
+    s_f, s_sf = ents[:, 1:].reshape(times.shape[0], *masks.shape[:2], 2).transpose(3, 2, 0, 1)
+    return ents[:, 0], s_f, s_sf
 
 
 class _RunningStats:
@@ -364,18 +359,19 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 (init, instance.j_tensor[0, 1:, 2, 2].copy(), frags)
                 for instance, init, frags in draws
             ])
-            i_blk, chi_blk, s_blk = _closed_form_tables(
+            s_blk, s_f, s_sf, chi_blk = _closed_form_tables(
                 np.array([init.coeffs for init in inits]), np.array(fields), times, np.array(masks),
             )
-            holevo = [chi_blk, i_blk - chi_blk]
         else:
-            # the state engines take I and S_S from explicit states
-            inits, i_rows, s_rows = zip(*[
+            inits, *rows = zip(*[
                 (init, *_state_tables(propagator(instance), init, times, frags))
                 for instance, init, frags in draws
             ])
-            i_blk, s_blk = np.array(i_rows), np.array(s_rows)
-            holevo = []
+            s_blk, s_f, s_sf = map(np.array, rows)
+            chi_blk = None
+        # I = S_S + S_F - S_SF of each subset, averaged over the cell's subsets
+        i_blk = _subset_mean(s_blk[:, None, :, None] + s_f - s_sf)
+        holevo = [] if chi_blk is None else [chi_blk, i_blk - chi_blk]
 
         alpha0_sq = np.array([abs(init.coeffs[0, 0]) ** 2 for init in inits])
         smax = binary_entropy(alpha0_sq)

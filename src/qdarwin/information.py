@@ -300,16 +300,22 @@ def _rank2_entropy(weight, x) -> np.ndarray:
     return binary_entropy(0.5 * (1.0 + np.sqrt(np.clip(radicand, 0.0, 1.0))))
 
 
+def _subset_mean(values: np.ndarray) -> np.ndarray:
+    """Mean of an (R, S, T, F) table over its S subsets: a running sum in subset
+    order, then / S, so a cell's bytes do not depend on the grid's shape."""
+    return np.add.accumulate(values, axis=1)[:, -1] / values.shape[1]
+
+
 def _closed_form_tables(coeffs, fields, times, masks):
-    """Exact I, Holevo and S_S of R branching evolutions, vectorized over
-    realizations, times, fragment columns and subsets.
+    """Exact entropies and Holevo quantity of R branching evolutions,
+    vectorized over realizations, times, fragment columns and subsets.
 
     ``coeffs`` holds each realization's initial pairs, the system's first,
     shape (R, N + 1, 2), and w = |alpha0|^2 |beta0|^2 is read off the first;
     ``fields`` the couplings, shape (R, N). ``masks`` is a boolean table of
     shape (R, F, S, N): ``masks[r, f, s, k]`` marks environment site k + 1 as
-    part of subset s of column f, and each column averages over its S subsets.
-    Returns I and Holevo tables of shape (R, T, F) and S_S of shape (R, T).
+    part of subset s of column f. Returns S_S (R, T), every subset's S_F and
+    S_SF (R, S, T, F), and the Holevo quantity averaged over them (R, T, F).
 
     Uses the rank-<=2 structure of every reduction of a branching state: the
     entropy of the system, fragment, and system+fragment blocks depends only
@@ -325,8 +331,7 @@ def _closed_form_tables(coeffs, fields, times, masks):
     # Each overlap product multiplies in its chosen sites one at a time, in
     # site order, into an (R, S, T, F) accumulator; an unchosen site is skipped,
     # which rounds as multiplying by an exact 1, so every cell rounds as the
-    # product of its own sites whatever the realization count. Each mean is a
-    # running sum over the subsets in draw order, whatever the grid's shape.
+    # product of its own sites whatever the realization count.
     # (N, R, S, 1, F) site masks and (N, R, 1, T, 1) site overlaps
     in_frag = np.ascontiguousarray(masks.transpose(3, 0, 2, 1))[:, :, :, None]
     gam_sites = np.moveaxis(gam, -1, 0)[:, :, None, :, None]
@@ -341,10 +346,7 @@ def _closed_form_tables(coeffs, fields, times, masks):
     s_frag = _rank2_entropy(cell_weight, 1.0 - g_frag_sq)
     s_joint = _rank2_entropy(cell_weight, 1.0 - np.abs(g_fbar) ** 2)
     s_cond = _rank2_entropy(cell_weight, g_frag_sq - g_env_sq[:, None, :, None])
-    s_sys_cells = s_sys[:, None, :, None]
-    i_vals = np.add.accumulate(s_sys_cells + s_frag - s_joint, axis=1)[:, -1] / n_s
-    chi_vals = np.add.accumulate(s_sys_cells - s_cond, axis=1)[:, -1] / n_s
-    return i_vals, chi_vals, s_sys
+    return s_sys, s_frag, s_joint, _subset_mean(s_sys[:, None, :, None] - s_cond)
 
 
 def holevo_branching(bs: BranchingState, frag: Sequence[int]) -> float:
@@ -357,7 +359,7 @@ def holevo_branching(bs: BranchingState, frag: Sequence[int]) -> float:
     sites = _sites(frag, 1, bs.n_env, "fragment sites")
     mask = np.isin(np.arange(1, bs.n_env + 1), sites)[None, None, None]
     coeffs = np.concatenate([[[bs.alpha0, bs.beta0]], bs.site_coeffs])
-    _, chi, _ = _closed_form_tables(coeffs[None], bs.fields[None], np.array([bs.time]), mask)
+    *_, chi = _closed_form_tables(coeffs[None], bs.fields[None], np.array([bs.time]), mask)
     return float(chi[0, 0, 0])
 
 

@@ -134,8 +134,8 @@ def _positive_integer(value, key: str) -> int:
 
 def _items(values, key: str) -> tuple:
     """``values`` (a list, a tuple, a range or a 1-d array) as a tuple; raise ValueError
-    naming ``key`` for a string, a mapping or a non-iterable such as a number or None."""
-    if not isinstance(values, (str, Mapping)):
+    naming ``key`` for a string, a mapping, a set or a non-iterable such as a number or None."""
+    if not isinstance(values, (str, Mapping, set, frozenset)):
         try:
             return tuple(values)
         except TypeError:

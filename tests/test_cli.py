@@ -323,17 +323,26 @@ class TestSweepCommand:
         assert svg_text.startswith("<svg")
         assert "fragment size" in svg_text
 
-    @pytest.mark.parametrize("model", ["CODI", "CPDI_S"])
-    def test_a_leading_zero_time_writes_exact_zero_rows(self, tmp_path, model):
-        """At t = 0 a state engine's sweep holds the initial product state,
-        with no evolve and no spectrum: its I, S and ratio cells read exactly
-        0, and every later row has the bytes of the same sweep without t = 0."""
+    @pytest.mark.parametrize("model, policy", [
+        pytest.param("CODI", "prefix", id="CODI"),
+        pytest.param("CPDI_S", "prefix", id="CPDI_S"),
+        pytest.param("CPDI", "prefix", id="CPDI"),
+        pytest.param("DPDI", "prefix", id="DPDI"),
+        pytest.param("CPDI", "random", id="CPDI-random"),
+    ])
+    def test_a_leading_zero_time_writes_exact_zero_rows(self, tmp_path, model, policy):
+        """At t = 0 a sweep holds the initial product state: a state engine
+        takes no evolve and no spectrum, and the closed form's branch overlaps
+        are exactly 1. Every mean and stderr cell it writes reads exactly 0
+        (the Holevo columns of a state engine are empty), and every later row
+        has the bytes of the same sweep without t = 0."""
         sizes = [0, 1, 2, 3, 5]
         lines = []
         for grid in ([0.0, 0.5, 1.0, 3.0], [0.5, 1.0, 3.0]):
             config = write_sweep_config(
                 tmp_path, model=model, n_env=5, time_grid=grid, fragment_sizes=sizes,
-                realizations=3,
+                realizations=3, fragment_policy=policy,
+                subsets_per_realization=3 if policy == "random" else 1,
             )
             out = tmp_path / f"{len(grid)}-times.csv"
             assert main(["sweep", "--config", config, "--out", str(out)]) == 0
@@ -346,6 +355,8 @@ class TestSweepCommand:
             cells = dict(zip(header, line.split(",")))
             assert cells["time"] == "0"
             assert [cells[k] for k in ("I_mean", "I_stderr", "S_mean", "ratio_mean")] == ["0"] * 4
+            holevo = "0" if model in ("CPDI", "DPDI") else ""
+            assert [cells[k] for k in ("chi_mean", "chi_stderr", "discord_mean")] == [holevo] * 3
 
     @pytest.mark.parametrize(
         "model, engine", [("CPDI", "branching"), ("CODI", "dense"), ("CPDI_S", "diagonal")]

@@ -74,6 +74,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(model="ZZZ")
 
+    def test_unordered_grids_name_their_key(self):
+        # a set has no order: it is refused, not sorted or read in hash order
+        for key, bad in (("time_grid", {0.0, 0.5, 1.5}), ("fragment_sizes", frozenset((0, 1)))):
+            with pytest.raises(ValueError, match=f"^{key}: expected a list"):
+                small_config(**{key: bad})
+
     def test_integer_fields_reject_non_integral_numbers(self):
         for key in ("n_env", "realizations", "master_seed", "subsets_per_realization"):
             for bad in (1.9, True):
@@ -238,6 +244,41 @@ class TestRunSweep:
         for i_vals, chi_vals in cells[1:]:
             np.testing.assert_array_equal(i_vals, cells[0][0])
             np.testing.assert_array_equal(chi_vals, cells[0][1])
+
+    @pytest.mark.parametrize("model", ["CODI", "CPDI_S", "CPDI"])
+    def test_subsets_are_averaged_left_to_right(self, model):
+        """Every engine averages a cell's subsets with one running sum in
+        subset order: each per-realization I equals, bit for bit, a Python sum
+        over the subsets of the engine's own per-cut entropies, divided by S.
+        Nine subsets pass numpy's 8-element pairwise block, so ``np.mean``
+        rounds some cell differently and the comparison can fail."""
+        config = small_config(
+            model=model, n_env=6, time_grid=(0.5, 1.0, 2.0), fragment_sizes=(1, 2, 3, 4),
+            realizations=2, fragment_policy="random", subsets_per_realization=9,
+            keep_realizations=True,
+        )
+        res = q.run_sweep(config)
+        times = np.asarray(config.time_grid)
+        pairwise_differs = False
+        for r in range(config.realizations):
+            instance, init, masks = experiments._realization(config.spec, config, r)
+            if res.engine == "branching":
+                fields = instance.j_tensor[0, 1:, 2, 2]
+                tables = experiments._closed_form_tables(
+                    init.coeffs[None], fields[None], times, masks[None]
+                )
+                s_s, s_f, s_sf = (table[0] for table in tables[:3])
+            else:
+                engine = q.DiagonalPropagator if res.engine == "diagonal" else q.DensePropagator
+                s_s, s_f, s_sf = experiments._state_tables(engine(instance), init, times, masks)
+            for ti, fi in np.ndindex(res.i_values.shape[1:]):
+                terms = [float(s_s[ti] + s_f[si, ti, fi] - s_sf[si, ti, fi]) for si in range(9)]
+                total = 0.0
+                for term in terms:
+                    total += term
+                assert res.i_values[r, ti, fi] == total / 9, (r, ti, fi)
+                pairwise_differs |= np.mean(terms) != total / 9
+        assert pairwise_differs
 
     def test_one_cell_tables_fold_in_realization_order(self):
         values = np.random.default_rng(3).normal(500.0, 10.0, (200, 1, 1))
@@ -559,20 +600,20 @@ class TestCallStructure:
 
 def direct_state_tables(propagator, init, times, masks):
     """The reference loop of ``_state_tables``: each state evolved from the
-    initial product state at t = 0, then its partial-trace entropies."""
+    initial product state at t = 0, then its partial-trace entropies, S_S of
+    shape (T,) and each subset's S_F and S_SF of shape (S, T, F)."""
     psi0 = q.dense_product_state(init)
-    i_vals = np.empty((len(times), masks.shape[0]))
     s_sys = np.empty(len(times))
+    s_f, s_sf = np.empty((2, masks.shape[1], len(times), masks.shape[0]))
     for ti, t in enumerate(times):
         psi = propagator.evolve(psi0, t)
-        s_s = s_sys[ti] = q.subsystem_entropy(psi, (0,))
+        s_sys[ti] = q.subsystem_entropy(psi, (0,))
         for fi, rows in enumerate(masks):
-            frags = [(np.flatnonzero(row) + 1).tolist() for row in rows]
-            i_vals[ti, fi] = np.mean([
-                s_s + q.subsystem_entropy(psi, f) - q.subsystem_entropy(psi, [0, *f])
-                for f in frags
-            ])
-    return i_vals, s_sys
+            for si, row in enumerate(rows):
+                frag = (np.flatnonzero(row) + 1).tolist()
+                s_f[si, ti, fi] = q.subsystem_entropy(psi, frag)
+                s_sf[si, ti, fi] = q.subsystem_entropy(psi, [0, *frag])
+    return s_sys, s_f, s_sf
 
 
 class TestSteppedStates:
@@ -596,10 +637,10 @@ class TestSteppedStates:
         for r in range(config.realizations):
             instance, init, masks = experiments._realization(spec, config, r)
             propagator = engine(instance)
-            i_vals, s_sys = experiments._state_tables(propagator, init, times, masks)
-            i_ref, s_ref = direct_state_tables(propagator, init, times, masks)
-            np.testing.assert_allclose(i_vals, i_ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(s_sys, s_ref, rtol=0, atol=1e-12)
+            tables = experiments._state_tables(propagator, init, times, masks)
+            refs = direct_state_tables(propagator, init, times, masks)
+            for table, ref in zip(tables, refs, strict=True):  # S_S, S_F, S_SF, cut by cut
+                np.testing.assert_allclose(table, ref, rtol=0, atol=1e-12)
 
 
 class TestFamilyRoute:
@@ -622,7 +663,7 @@ class TestFamilyRoute:
         instance, init, masks = experiments._realization(config.spec, config, 0)
         propagator = engine(instance)
         times = np.asarray(config.time_grid)
-        i_ref, s_ref = experiments._state_tables(propagator, init, times, masks)
+        refs = experiments._state_tables(propagator, init, times, masks)
 
         counts = Counter()
 
@@ -637,10 +678,11 @@ class TestFamilyRoute:
                             counting("entropy", experiments.subsystem_entropy))
         monkeypatch.setattr(experiments, "_purification",
                             counting("purification", experiments._purification))
-        i_vals, s_sys = experiments._state_tables(propagator, init, times, masks)
-        np.testing.assert_allclose(i_vals, i_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(s_sys, s_ref, rtol=0, atol=1e-12)
-        assert not i_vals[0].any() and s_sys[0] == 0.0  # exactly 0, in every cell
+        s_sys, s_f, s_sf = tables = experiments._state_tables(propagator, init, times, masks)
+        for table, ref in zip(tables, refs, strict=True):  # S_S, S_F, S_SF, cut by cut
+            np.testing.assert_allclose(table, ref, rtol=0, atol=1e-12)
+        # exactly 0, in every cut
+        assert s_sys[0] == 0.0 and not s_f[:, 0].any() and not s_sf[:, 0].any()
         t, f = len(times), len(config.fragment_sizes)
         assert counts["entropy"] == t * (1 + 2 * f * subsets)
         # one purification per family at each time past t = 0

@@ -595,7 +595,10 @@ SIZE_CALLS = {
 }
 BAD_SITES = {"non-integral": 1.5, "bool": True, "string": "1", "complex": 1 + 0j}
 # whole arguments that are not a list of sites
-NOT_LISTS = {"number": 5, "none": None, "digit string": "12", "mapping": {1: 1}}
+NOT_LISTS = {
+    "number": 5, "none": None, "digit string": "12", "mapping": {1: 1},
+    "set": {1, 2}, "frozenset": frozenset((1,)),
+}
 
 
 def site_cases():
@@ -700,15 +703,18 @@ class TestClosedFormKernel:
         fields = rng.uniform(-1.0, 1.0, (n_r, n_env))
         times = np.sort(rng.uniform(0.0, 4.0, 3))
         coeffs = np.array([init.coeffs for init in inits])
-        i_all, chi_all, s_all = _closed_form_tables(coeffs, fields, times, masks)
+        tables = _closed_form_tables(coeffs, fields, times, masks)
+        s_all, f_all, sf_all, chi_all = tables
+        i_all = information._subset_mean(s_all[:, None, :, None] + f_all - sf_all)
         # the Holevo oracle's own branch weights
         weights = np.array([abs(a) ** 2 * abs(b) ** 2 for (a, b) in (i.coeffs[0] for i in inits)])
         assert i_all.shape == chi_all.shape == (n_r, 3, n_f)
+        assert f_all.shape == sf_all.shape == (n_r, n_s, 3, n_f)
         assert s_all.shape == (n_r, 3)
         for r, init in enumerate(inits):
             # each realization's slice is the R = 1 call, bit for bit
             alone = _closed_form_tables(coeffs[r:r + 1], fields[r:r + 1], times, masks[r:r + 1])
-            for stacked, single in zip((i_all, chi_all, s_all), alone):
+            for stacked, single in zip(tables, alone, strict=True):
                 np.testing.assert_array_equal(stacked[r], single[0])
             i_vals, chi_vals, s_sys = i_all[r], chi_all[r], s_all[r]
             assert np.all(chi_vals >= -1e-12)
@@ -721,6 +727,11 @@ class TestClosedFormKernel:
                 env_sq = abs(bs.overlap()) ** 2
                 for fi, rows in enumerate(masks[r]):
                     subsets = [np.flatnonzero(row) + 1 for row in rows]
+                    # S_F and S_SF subset by subset, then their average I
+                    for si, sites in enumerate(subsets):
+                        assert abs(f_all[r, si, ti, fi] - q.subsystem_entropy(psi, sites)) < 1e-9
+                        joint = q.subsystem_entropy(psi, [0, *sites])
+                        assert abs(sf_all[r, si, ti, fi] - joint) < 1e-9
                     info = np.mean([q.mutual_information(psi, sites) for sites in subsets])
                     assert abs(i_vals[ti, fi] - info) < 1e-9
                     # Holevo one subset at a time, from the scalar overlaps

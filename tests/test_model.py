@@ -146,6 +146,12 @@ class TestBuildModel:
             with pytest.raises(ValueError, match=key) as refused:
                 q.build_model(kind, 4, **{key: value})
             assert "unknown key" not in str(refused.value)
+        # a set has no order: it is refused, not read in hash order
+        for support in ({2.0, -1.0, 0.5}, frozenset((2.0, -1.0, 0.5))):
+            with pytest.raises(ValueError, match="^support: expected a list"):
+                q.DiscreteUniform(support)
+            with pytest.raises(ValueError, match="^support: expected a list"):
+                q.build_model("DPDI", 4, support=support)
         for n_env in (3.5, True, "3"):
             with pytest.raises(ValueError, match="n_env: expected an integer"):
                 q.build_model("CPDI", n_env)
@@ -774,4 +780,9 @@ class TestSpecB0:
 
     def test_a_bad_b0_names_its_key(self):
         for bad in ((True, 0.0, 0.0), ["1", 0.0, 0.0], "xyz", {0: 1.0}):
+            self._refused(bad)
+
+    def test_an_unordered_b0_names_its_key(self):
+        # a set has no order, so its components would be read in hash order
+        for bad in ({2.0, -1.0, 0.5}, frozenset((2.0, -1.0, 0.5))):
             self._refused(bad)
